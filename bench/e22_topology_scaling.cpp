@@ -1,7 +1,7 @@
 /**
  * @file
  * Experiment E22 — hierarchical barrier topologies and O(active)
- * simulation at 16..1024 processors.
+ * simulation at 16..4096 processors.
  *
  * Two claims, both rooted in section 6's observation that the
  * broadcast interconnect grows with the machine:
@@ -12,7 +12,7 @@
  *     pays a constant local latency plus 2 * span * level_latency for
  *     the subtree a group spans, which grows only logarithmically
  *     (tree) or stays constant (cluster + root). Sweeping an
- *     all-processor barrier loop from 16 to 1024 processors, the
+ *     all-processor barrier loop from 16 to 4096 processors, the
  *     tree/cluster runs must finish in fewer simulated cycles than
  *     flat from 256 processors up — while episodes and registers stay
  *     identical across all three shapes (the topology moves delivery
@@ -22,7 +22,8 @@
  *     barrier network's evaluation are O(active), not O(processors):
  *     with 16 participants and the rest of the machine halted, the
  *     wall-clock simulation rate (cycles/sec) at 1024 processors must
- *     hold at least half the 16-processor rate.
+ *     hold at least half the 16-processor rate. The 4096-processor
+ *     rate (the HiBitset ceiling) is reported, not gated.
  */
 
 #include "common.hh"
@@ -38,7 +39,7 @@ namespace
 using namespace fb;
 using namespace fb::bench;
 
-constexpr int kSizes[] = {16, 64, 256, 1024};
+constexpr int kSizes[] = {16, 64, 256, 1024, 4096};
 
 barrier::Topology
 parseTopo(const char *spec)
@@ -209,6 +210,7 @@ main(int argc, char **argv)
     tb.setHeader({"procs", "cycles/sec", "vs-16"});
     double rate16 = 0.0;
     double ratio1024 = 0.0;
+    double ratio4096 = 0.0;
     for (int n : kSizes) {
         const double rate = runSixteenActive(n);
         if (n == 16)
@@ -216,6 +218,8 @@ main(int argc, char **argv)
         const double ratio = rate16 > 0 ? rate / rate16 : 0.0;
         if (n == 1024)
             ratio1024 = ratio;
+        if (n == 4096)
+            ratio4096 = ratio;
         tb.row()
             .cell(static_cast<std::int64_t>(n))
             .cell(rate, 0)
@@ -224,6 +228,7 @@ main(int argc, char **argv)
     tb.print(std::cout);
 
     std::printf("topology-oactive-ratio: %.2f\n", ratio1024);
+    std::printf("oactive-ratio-4096 (report only): %.2f\n", ratio4096);
     std::printf("topology-config: %s,%s,%s\n", flat.toString().c_str(),
                 tree.toString().c_str(), cluster.toString().c_str());
     if (ratio1024 < 0.5) {

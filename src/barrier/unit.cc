@@ -1,5 +1,7 @@
 #include "barrier/unit.hh"
 
+#include <bit>
+
 #include "support/logging.hh"
 
 namespace fb::barrier
@@ -21,22 +23,23 @@ BarrierUnit::setMask(std::uint64_t bits)
     // A 64-bit immediate can only name processors 0..63; in a larger
     // machine the word form addresses that prefix and clears the rest
     // (the wide all-processors form is setMaskAll()).
-    for (int p = 0; p < _numProcessors; ++p) {
-        bool value = p < 64 && (bits >> p & 1) != 0 && p != _self;
-        _mask.set(static_cast<std::size_t>(p), value);
-        _shadowMask.set(static_cast<std::size_t>(p), value);
-    }
+    if (_numProcessors < 64)
+        bits &= (std::uint64_t{1} << _numProcessors) - 1;
+    if (_self < 64)
+        bits &= ~(std::uint64_t{1} << _self);
+    _mask.clearAll();
+    for (; bits != 0; bits &= bits - 1)
+        _mask.set(static_cast<std::size_t>(std::countr_zero(bits)));
+    _shadowMask = _mask;
     ++_maskVersion;
 }
 
 void
 BarrierUnit::setMaskAll()
 {
-    for (int p = 0; p < _numProcessors; ++p) {
-        const bool value = p != _self;
-        _mask.set(static_cast<std::size_t>(p), value);
-        _shadowMask.set(static_cast<std::size_t>(p), value);
-    }
+    _mask.setAll();
+    _mask.clear(static_cast<std::size_t>(_self));
+    _shadowMask = _mask;
     ++_maskVersion;
 }
 
@@ -85,15 +88,8 @@ BarrierUnit::scrub()
         _tag = _shadowTag;
         ++corrected;
     }
-    bool mask_corrupt = false;
-    for (int p = 0; p < _numProcessors; ++p) {
-        auto idx = static_cast<std::size_t>(p);
-        if (_mask.test(idx) != _shadowMask.test(idx)) {
-            _mask.set(idx, _shadowMask.test(idx));
-            mask_corrupt = true;
-        }
-    }
-    if (mask_corrupt) {
+    if (!(_mask == _shadowMask)) {
+        _mask = _shadowMask;
         ++corrected;  // count the mask register once, not per bit
         ++_maskVersion;
     }

@@ -207,6 +207,7 @@ Machine::Machine(const MachineConfig &config) : _config(config)
     }
     _active.reserve(static_cast<std::size_t>(config.numProcessors));
     _groupScratch.reserve(static_cast<std::size_t>(config.numProcessors));
+    _memberScratch.resize(static_cast<std::size_t>(config.numProcessors));
     _traceStates.reserve(static_cast<std::size_t>(config.numProcessors));
     _traceHalted.reserve(static_cast<std::size_t>(config.numProcessors));
     _wdHalted.resize(static_cast<std::size_t>(config.numProcessors));
@@ -441,13 +442,14 @@ Machine::onCross(int p, std::uint64_t cycle)
     std::size_t rec = _openSyncRecord[static_cast<std::size_t>(p)];
     if (rec == std::numeric_limits<std::size_t>::max())
         return;
+    // Members are ascending: delivery builds them that way, and
+    // restore rejects records that are not.
     SyncRecord &record = _syncRecords[rec];
-    for (std::size_t i = 0; i < record.members.size(); ++i) {
-        if (record.members[i] == p) {
-            record.crossings[i] = cycle;
-            break;
-        }
-    }
+    const auto it =
+        std::lower_bound(record.members.begin(), record.members.end(), p);
+    if (it != record.members.end() && *it == p)
+        record.crossings[static_cast<std::size_t>(
+            it - record.members.begin())] = cycle;
     _openSyncRecord[static_cast<std::size_t>(p)] =
         std::numeric_limits<std::size_t>::max();
 }
@@ -1163,34 +1165,48 @@ Machine::applyRecovery(const std::vector<int> &dead, std::uint64_t now)
 
 std::string
 Machine::checkMembership(const std::vector<int> &members,
-                         std::uint64_t now) const
+                         std::uint64_t now)
 {
+    for (int m : members)
+        _memberScratch.set(static_cast<std::size_t>(m));
+    // The lowest live same-tag same-epoch processor in @p u's mask that
+    // is outside the group, or the mask size when there is none. Bits
+    // inside the group can never be violations, so each mask word is
+    // filtered against the group before any bit is looked at.
+    auto missedMember = [this](const barrier::BarrierUnit &u) {
+        const BitVector &mask = u.mask();
+        for (std::size_t i = 0; i < mask.wordCount(); ++i) {
+            for (std::uint64_t w = mask.word(i) & ~_memberScratch.word(i);
+                 w != 0; w &= w - 1) {
+                const std::size_t q =
+                    i * HiBitset::bitsPerWord +
+                    static_cast<std::size_t>(std::countr_zero(w));
+                if (_fenced[q])
+                    continue;  // legitimately excluded by recovery
+                const auto &other = _network->unit(static_cast<int>(q));
+                if (other.tag() == u.tag() && other.epoch() == u.epoch())
+                    return q;
+            }
+        }
+        return mask.size();
+    };
+    // Members ascending, then mask bits ascending: the first violation
+    // is the one a bit-by-bit walk over every mask would report.
+    std::string violation;
     for (int m : members) {
         const auto &u = _network->unit(m);
-        std::string violation;
-        u.mask().forEachSet([&](std::size_t sq) {
-            if (!violation.empty())
-                return;
-            const int q = static_cast<int>(sq);
-            if (_fenced[sq])
-                return;  // legitimately excluded by recovery
-            const auto &other = _network->unit(q);
-            if (other.tag() != u.tag() || other.epoch() != u.epoch())
-                return;
-            if (std::find(members.begin(), members.end(), q) ==
-                members.end()) {
-                std::ostringstream oss;
-                oss << "fault-safety violation at cycle " << now
-                    << ": cpu" << m << " synchronized on tag "
-                    << u.tag() << " epoch " << u.epoch()
-                    << " without live member cpu" << q;
-                violation = oss.str();
-            }
-        });
-        if (!violation.empty())
-            return violation;
+        const std::size_t q = missedMember(u);
+        if (q == u.mask().size())
+            continue;
+        std::ostringstream oss;
+        oss << "fault-safety violation at cycle " << now << ": cpu" << m
+            << " synchronized on tag " << u.tag() << " epoch " << u.epoch()
+            << " without live member cpu" << q;
+        violation = oss.str();
+        break;
     }
-    return "";
+    _memberScratch.clearAll();
+    return violation;
 }
 
 std::uint64_t
@@ -1332,6 +1348,35 @@ decodeSyncRecord(snapshot::Decoder &d, SyncRecord &r)
         d.u64Vec(r.arrivals);
         d.u64Vec(r.crossings);
     }
+}
+
+/**
+ * The invariants onCross() indexes with, checked on every restore: each
+ * record's members lie in [0, @p n) in strictly ascending order (the
+ * binary search needs it) with one arrival and one crossing each, and
+ * each open-record entry is the none sentinel or names a record.
+ */
+bool
+syncTrailWellFormed(const std::vector<SyncRecord> &records,
+                    const std::vector<std::size_t> &open, std::size_t n)
+{
+    for (const SyncRecord &r : records) {
+        if (r.arrivals.size() != r.members.size() ||
+            r.crossings.size() != r.members.size())
+            return false;
+        int prev = -1;
+        for (int m : r.members) {
+            if (m <= prev || static_cast<std::size_t>(m) >= n)
+                return false;
+            prev = m;
+        }
+    }
+    for (std::size_t rec : open) {
+        if (rec != std::numeric_limits<std::size_t>::max() &&
+            rec >= records.size())
+            return false;
+    }
+    return true;
 }
 
 } // namespace
@@ -1765,7 +1810,8 @@ Machine::restoreState(const std::vector<std::uint8_t> &bytes,
             const std::size_t n =
                 static_cast<std::size_t>(numProcessors());
             if (!d.done() || _fenced.size() != n ||
-                _lastArrival.size() != n || _openSyncRecord.size() != n)
+                _lastArrival.size() != n || _openSyncRecord.size() != n ||
+                !syncTrailWellFormed(_syncRecords, _openSyncRecord, n))
                 return fail("machine-core");
             saw_core = true;
             break;
@@ -1968,7 +2014,8 @@ Machine::applyDeltaState(const std::vector<std::uint8_t> &bytes,
             const std::size_t n =
                 static_cast<std::size_t>(numProcessors());
             if (!d.done() || _fenced.size() != n ||
-                _lastArrival.size() != n || _openSyncRecord.size() != n)
+                _lastArrival.size() != n || _openSyncRecord.size() != n ||
+                !syncTrailWellFormed(_syncRecords, _openSyncRecord, n))
                 return fail("core-delta");
             saw_core = true;
             break;

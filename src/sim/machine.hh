@@ -25,6 +25,7 @@
 #include "sim/processor.hh"
 #include "sim/trace.hh"
 #include "snapshot/format.hh"
+#include "support/hibitset.hh"
 
 namespace fb::sim
 {
@@ -387,10 +388,12 @@ class Machine : public ExecutionObserver
      * Fault-safety (membership) oracle, evaluated at delivery time:
      * every live, same-tag, same-epoch processor in a member's mask
      * must itself be part of the delivered group. Returns a
-     * description of the first violation or empty.
+     * description of the first violation or empty. Marks the group in
+     * _memberScratch, so each mask is tested a word at a time and only
+     * its bits outside the group are looked at one by one.
      */
     std::string checkMembership(const std::vector<int> &members,
-                                std::uint64_t now) const;
+                                std::uint64_t now);
 
     MachineConfig _config;
     std::unique_ptr<SharedMemory> _memory;
@@ -490,6 +493,8 @@ class Machine : public ExecutionObserver
     std::vector<int> _active;
     /** (tag, processor) pairs of one delivery, for episode grouping. */
     std::vector<std::pair<std::uint32_t, int>> _groupScratch;
+    /** The group checkMembership() is testing; empty between calls. */
+    HiBitset _memberScratch;
     /**
      * Sharded-run skew cursors: _procNext[p] is the next global cycle
      * whose tick processor p still owes. A processor with

@@ -26,8 +26,12 @@ BitVector::set(std::size_t idx, bool value)
 void
 BitVector::setAll()
 {
-    for (std::size_t i = 0; i < _size; ++i)
-        set(i);
+    for (auto &w : _words)
+        w = ~std::uint64_t{0};
+    // Keep the bits past size() clear: count(), all() and equality
+    // read whole words.
+    if (const std::size_t tail = _size % bitsPerWord; tail != 0)
+        _words.back() = (std::uint64_t{1} << tail) - 1;
 }
 
 void

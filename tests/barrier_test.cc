@@ -126,6 +126,41 @@ TEST(BarrierUnit, WordMaskAddressesLow64Prefix)
     EXPECT_TRUE(u.mask().test(127));
 }
 
+TEST(BarrierUnit, WideMaskWritesMatchPerBitConstruction)
+{
+    // 130 processors: three mask words, the last one partial. The
+    // word-wise mask writes must produce exactly the per-bit result,
+    // self bit clear, whether self sits in the first or the last word.
+    constexpr int n = 130;
+    for (int self : {5, 129}) {
+        BarrierUnit u(n, self);
+        BitVector all(n), low(n);
+        for (int p = 0; p < n; ++p) {
+            if (p == self)
+                continue;
+            all.set(static_cast<std::size_t>(p));
+            if (p < 64)
+                low.set(static_cast<std::size_t>(p));
+        }
+
+        u.setMask(~0ull);
+        EXPECT_TRUE(u.mask() == low) << "self " << self;
+        EXPECT_FALSE(u.mask().test(static_cast<std::size_t>(self)));
+
+        u.setMaskAll();
+        EXPECT_TRUE(u.mask() == all) << "self " << self;
+        EXPECT_FALSE(u.mask().test(static_cast<std::size_t>(self)));
+
+        // A flipped bit in the last word is restored from the shadow
+        // copy, counted once.
+        u.corruptMaskBit(129);
+        EXPECT_FALSE(u.mask() == all) << "self " << self;
+        EXPECT_EQ(u.scrub(), 1) << "self " << self;
+        EXPECT_TRUE(u.mask() == all) << "self " << self;
+        EXPECT_EQ(u.scrub(), 0) << "self " << self;
+    }
+}
+
 TEST(BarrierUnit, CrossFromNonBarrierIsNoOp)
 {
     BarrierUnit u(2, 0);

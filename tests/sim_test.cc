@@ -8,6 +8,8 @@
 
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "isa/assembler.hh"
 #include "sim/machine.hh"
@@ -567,6 +569,103 @@ TEST(Machine, SyncLatencyHiddenByRegions)
     auto fuzzy_slow = run(20, 64);
     // Large region: the latency vanishes into region execution.
     EXPECT_LT(fuzzy_slow, fuzzy_fast + 10 * 5);
+}
+
+// ------------------------------------------------ membership oracle
+
+TEST(MembershipOracle, FlagsGroupThatCompletesWithoutAMaskedMember)
+{
+    // Episode 1: cpu1 and cpu2 name each other and synchronize
+    // cleanly. Then cpu2 also names the straggler cpu5, while cpu1
+    // still waits only for cpu2: cpu1's AND completes and cpu1 is
+    // delivered alone, leaving the live, same-tag cpu2 in its mask
+    // behind. That is the fault-safety violation the oracle reports;
+    // the clean first group must not mask it.
+    Machine m(smallConfig(8));
+    for (int p = 0; p < 8; ++p)
+        m.loadProgram(p, assembleOrDie("halt\n"));
+    m.loadProgram(1, assembleOrDie(R"(
+        settag 1
+        setmask 4
+    .region 1
+        addi r4, r4, 1
+    .endregion
+        addi r3, r3, 1
+    .region 1
+        addi r4, r4, 1
+    .endregion
+        halt
+    )"));
+    m.loadProgram(2, assembleOrDie(R"(
+        settag 1
+        setmask 2
+    .region 1
+        addi r4, r4, 1
+    .endregion
+        setmask 34
+    .region 1
+        addi r4, r4, 1
+    .endregion
+        halt
+    )"));
+    std::ostringstream straggler;
+    straggler << "settag 1\nsetmask 4\n";
+    for (int i = 0; i < 60; ++i)
+        straggler << "addi r3, r3, 1\n";
+    straggler << ".region 1\naddi r4, r4, 1\n.endregion\nhalt\n";
+    m.loadProgram(5, assembleOrDie(straggler.str()));
+
+    auto r = m.run();
+    ASSERT_GE(m.syncRecords().size(), 2u);
+    EXPECT_EQ(m.syncRecords()[0].members, (std::vector<int>{1, 2}));
+    const SyncRecord &lone = m.syncRecords()[1];
+    EXPECT_EQ(lone.members, std::vector<int>{1});
+    EXPECT_EQ(r.membershipViolation,
+              "fault-safety violation at cycle " +
+                  std::to_string(lone.cycle) +
+                  ": cpu1 synchronized on tag 1 epoch 0 without live "
+                  "member cpu2");
+}
+
+TEST(MembershipOracle, FindsMissedMemberInThirdMaskWord)
+{
+    // The same shape across mask words at 130 processors, with masks
+    // set from the host (SETMASK's immediate cannot name processors
+    // >= 64). The group {3, 70} completes: cpu3 waits for 70 and 129,
+    // cpu70 for 3. cpu129, bit 1 of mask word 2, also waits for the
+    // straggler cpu100. cpu3's mask bit 70 comes first and is a group
+    // member, so it is passed over; the report names cpu129. cpu128,
+    // just before it in the same word, has a different tag and is
+    // delivered in the same cycle in a group of its own.
+    Machine m(smallConfig(130));
+    for (int p = 0; p < 130; ++p)
+        m.loadProgram(p, assembleOrDie("halt\n"));
+    const std::vector<std::pair<int, std::vector<int>>> masks = {
+        {3, {70, 129}}, {70, {3}}, {100, {129}}, {128, {}},
+        {129, {3, 100}}};
+    for (const auto &[p, mask] : masks) {
+        auto &unit = m.network().unit(p);
+        unit.setTag(p == 128 ? 2 : 1);
+        for (int q : mask)
+            unit.setMaskBit(q);
+        std::ostringstream oss;
+        for (int i = 0; i < (p == 100 ? 60 : 2); ++i)
+            oss << "addi r3, r3, 1\n";
+        oss << ".region 1\naddi r4, r4, 1\n.endregion\nhalt\n";
+        m.loadProgram(p, assembleOrDie(oss.str()));
+    }
+
+    auto r = m.run();
+    ASSERT_GE(m.syncRecords().size(), 2u);
+    const SyncRecord &first = m.syncRecords()[0];
+    EXPECT_EQ(first.members, (std::vector<int>{3, 70}));
+    EXPECT_EQ(m.syncRecords()[1].members, std::vector<int>{128});
+    EXPECT_EQ(m.syncRecords()[1].cycle, first.cycle);
+    EXPECT_EQ(r.membershipViolation,
+              "fault-safety violation at cycle " +
+                  std::to_string(first.cycle) +
+                  ": cpu3 synchronized on tag 1 epoch 0 without live "
+                  "member cpu129");
 }
 
 // -------------------------------------------------- property-style sweeps

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -1489,6 +1490,170 @@ TEST(MachineSnapshot, TruncatedProcessorSectionNeverRestores)
     ASSERT_TRUE(victim.restoreState(bytes, err)) << err;
     auto result = victim.run();
     EXPECT_FALSE(result.deadlocked);
+}
+
+/** Where the sync-record trail sits in a core section payload. */
+struct SyncTrailLayout
+{
+    std::size_t openAt = 0;        ///< first open-record entry (u64)
+    std::uint64_t firstRecord = 0; ///< index of the first encoded record
+    std::uint64_t records = 0;     ///< record count after decoding
+    std::size_t recordAt = 0;      ///< first encoded record
+};
+
+/**
+ * Walk the fields in front of the sync-record trail of a MachineCore
+ * payload, or with @p delta a CoreDelta payload (which adds the patch
+ * point before the record count).
+ */
+SyncTrailLayout
+locateSyncTrail(const std::vector<std::uint8_t> &payload, bool delta)
+{
+    Decoder d(payload);
+    auto offset = [&] { return payload.size() - d.remaining(); };
+    std::vector<bool> fenced;
+    std::vector<std::uint64_t> lastArrival;
+    d.u64();  // cycle
+    d.boolVec(fenced);
+    for (std::uint64_t dead = d.u64(); dead > 0 && d.ok(); --dead)
+        d.i64();
+    for (std::uint64_t recs = d.u64(); recs > 0 && d.ok(); --recs) {
+        d.u64();
+        d.i64();
+        for (std::uint64_t s = d.u64(); s > 0 && d.ok(); --s)
+            d.i64();
+    }
+    d.u64Vec(lastArrival);
+    SyncTrailLayout layout;
+    const std::uint64_t open = d.u64();
+    layout.openAt = offset();
+    for (std::uint64_t k = 0; k < open && d.ok(); ++k)
+        d.u64();
+    d.u64();  // records dropped by the window
+    if (delta)
+        layout.firstRecord = d.u64();
+    layout.records = d.u64();
+    layout.recordAt = offset();
+    EXPECT_TRUE(d.ok());
+    return layout;
+}
+
+TEST(MachineSnapshot, MalformedSyncRecordsNeverRestore)
+{
+    Machine probe(machineConfig(4));
+    loadLoop(probe, 4);
+    const auto probeResult = probe.run();
+
+    // A full capture and the delta after it; the loop synchronizes all
+    // four processors every iteration, so both carry sync records.
+    auto cfg = machineConfig(4);
+    cfg.checkpointEveryCycles = probeResult.cycles / 6;
+    cfg.checkpointRebaseEvery = 100;
+    Machine m(cfg);
+    loadLoop(m, 4);
+    std::vector<std::vector<std::uint8_t>> captures;
+    m.setStagedCheckpointSink(
+        [&captures](SnapshotHeader h, std::vector<Section> secs) {
+            captures.push_back(assemble(h, secs));
+            return Machine::CheckpointAck{};
+        });
+    m.run();
+    ASSERT_GE(captures.size(), 2u);
+
+    // Patch the core section of the full capture (@p delta false) or
+    // of the delta applied on top of it, re-assemble with valid CRCs,
+    // and restore into a fresh machine. Every integrity check of the
+    // container passes; only the payload decode can object.
+    using Patch = std::function<void(std::vector<std::uint8_t> &,
+                                     const SyncTrailLayout &)>;
+    auto restorePatched = [&](bool delta, const Patch &patch,
+                              std::string &err) {
+        SnapshotHeader header;
+        std::vector<Section> sections;
+        EXPECT_TRUE(disassemble(captures[delta ? 1 : 0], header, sections,
+                                err))
+            << err;
+        const auto id = static_cast<std::uint32_t>(
+            delta ? SectionId::CoreDelta : SectionId::MachineCore);
+        auto core = std::find_if(
+            sections.begin(), sections.end(),
+            [id](const Section &s) { return s.id == id; });
+        EXPECT_NE(core, sections.end());
+        if (core == sections.end())
+            return true;
+        const SyncTrailLayout layout = locateSyncTrail(core->payload, delta);
+        // The first encoded record is the packed form of a four-member
+        // group: cycle, form flag 1, count, then the member bytes.
+        EXPECT_GT(layout.records, layout.firstRecord);
+        EXPECT_EQ(core->payload[layout.recordAt + 8], 1);
+        EXPECT_EQ(core->payload[layout.recordAt + 9], 4);
+        patch(core->payload, layout);
+
+        Machine victim(machineConfig(4));
+        loadLoop(victim, 4);
+        const auto bytes = assemble(header, sections);
+        if (!delta)
+            return victim.restoreState(bytes, err);
+        EXPECT_TRUE(victim.restoreState(captures[0], err)) << err;
+        return victim.applyDeltaState(bytes, err);
+    };
+
+    // Rewrite the first record in the full-width form with
+    // @p arrivals and @p crossings entries for its four members.
+    auto widen = [](std::size_t arrivals, std::size_t crossings) {
+        return [arrivals, crossings](std::vector<std::uint8_t> &payload,
+                                     const SyncTrailLayout &at) {
+            const auto first = payload.begin() +
+                               static_cast<std::ptrdiff_t>(at.recordAt);
+            Encoder e;
+            e.bytes(payload.data() + at.recordAt, 8);  // cycle
+            e.u8(0);
+            e.u64(4);
+            for (std::size_t k = 0; k < 4; ++k)
+                e.i64(payload[at.recordAt + 10 + k]);
+            e.u64Vec(std::vector<std::uint64_t>(arrivals, 0));
+            e.u64Vec(std::vector<std::uint64_t>(crossings, ~0ull));
+            const auto wide = e.take();
+            payload.erase(first, first + 10 + 4 + 4 * 4 + 4 * 4);
+            payload.insert(payload.begin() +
+                               static_cast<std::ptrdiff_t>(at.recordAt),
+                           wide.begin(), wide.end());
+        };
+    };
+
+    const std::vector<std::pair<std::string, Patch>> cases = {
+        {"member past the processor count",
+         [](auto &payload, const SyncTrailLayout &at) {
+             payload[at.recordAt + 10 + 3] = 4;
+         }},
+        {"members not strictly ascending",
+         [](auto &payload, const SyncTrailLayout &at) {
+             payload[at.recordAt + 10 + 1] = payload[at.recordAt + 10];
+         }},
+        {"fewer arrivals than members", widen(3, 4)},
+        {"more crossings than members", widen(4, 5)},
+        {"open entry past the record count",
+         [](auto &payload, const SyncTrailLayout &at) {
+             for (int i = 0; i < 8; ++i)
+                 payload[at.openAt + static_cast<std::size_t>(i)] =
+                     static_cast<std::uint8_t>(at.records >> (8 * i));
+         }},
+    };
+
+    for (bool delta : {false, true}) {
+        const char *section = delta ? "core-delta" : "machine-core";
+        std::string err;
+        // Control: the widened but well-formed record still restores.
+        EXPECT_TRUE(restorePatched(delta, widen(4, 4), err))
+            << section << ": " << err;
+        for (const auto &[what, patch] : cases) {
+            err.clear();
+            EXPECT_FALSE(restorePatched(delta, patch, err))
+                << section << ": " << what;
+            EXPECT_NE(err.find(section), std::string::npos)
+                << section << ": " << what << ": " << err;
+        }
+    }
 }
 
 TEST(MachineSnapshot, DeltaSnapshotRequiresItsChain)

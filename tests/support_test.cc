@@ -116,13 +116,17 @@ TEST(BitVector, ToString)
 TEST(BitVector, ExactWordBoundarySizes)
 {
     // Sizes straddling the 64-bit word granularity: the last word is
-    // partial for 63 and 65, exactly full for 64 and 128. setAll()
-    // must not set phantom bits past size() (they would corrupt
-    // count(), all(), and equality), and the last bit must be
+    // partial for 1, 63, 65 and 129, exactly full for 64 and 128.
+    // setAll() must not set phantom bits past size() (they would
+    // corrupt count(), all(), and equality), and the last bit must be
     // addressable.
-    for (std::size_t n : {63u, 64u, 65u, 128u}) {
+    for (std::size_t n : {1u, 63u, 64u, 65u, 128u, 129u}) {
         BitVector bv(n);
         bv.setAll();
+        BitVector bitwise(n);
+        for (std::size_t i = 0; i < n; ++i)
+            bitwise.set(i);
+        EXPECT_TRUE(bv == bitwise) << "size " << n;
         EXPECT_EQ(bv.count(), n) << "size " << n;
         EXPECT_TRUE(bv.all()) << "size " << n;
         bv.clear(n - 1);
