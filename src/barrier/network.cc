@@ -364,14 +364,6 @@ BarrierNetwork::deliveryPendingFor(int p) const
     return _deliverAt[static_cast<std::size_t>(p)] != kNone;
 }
 
-std::uint64_t
-BarrierNetwork::deliveryCycleFor(int p) const
-{
-    FB_ASSERT(p >= 0 && p < numProcessors(), "processor index " << p
-                                                                << " bad");
-    return _deliverAt[static_cast<std::size_t>(p)];
-}
-
 bool
 BarrierNetwork::wouldDeadlock(const std::vector<bool> &halted,
                               std::uint64_t now) const

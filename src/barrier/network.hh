@@ -143,10 +143,6 @@ class BarrierNetwork : public UnitEventListener
      */
     std::uint64_t nextDeliveryCycle() const;
 
-    /** Cycle processor @p p's pending sync delivers (UINT64_MAX when
-     * none is in flight) — used for private-read horizons. */
-    std::uint64_t deliveryCycleFor(int p) const;
-
     /**
      * Processors delivered synchronization by the most recent
      * evaluate() call, in ascending processor order. Each delivery

@@ -45,22 +45,6 @@ class DataCache
      */
     CacheAccessResult access(std::size_t addr);
 
-    /**
-     * True if an access to @p addr would hit, without touching the
-     * hit/miss counters or allocating (access() write-allocates, so it
-     * cannot serve as a probe). The windowed dispatcher's private-read
-     * predicate uses this: a hit means the word's line is already
-     * resident — and this processor's sharer bit already set — so the
-     * load is timing- and coherence-inert.
-     */
-    bool wouldHit(std::size_t addr) const
-    {
-        if (!_config.enabled)
-            return false;
-        const std::size_t line = lineOf(addr);
-        return _valid[line] && _tags[line] == tagOf(addr);
-    }
-
     /** Invalidate the line containing @p addr (remote write). */
     void invalidate(std::size_t addr);
 

@@ -193,13 +193,16 @@ struct MachineConfig
     bool traceBarrierStates = false;
 
     /**
-     * Event-driven fast-forward: when no processor can make progress
-     * at the current cycle, jump time directly to the next event
+     * Selects Machine::run's event-and-window loop: each iteration
+     * may run processors ahead through private ticks in a window (see
+     * predecode and shardQuantum; with neither, the window dispatches
+     * nothing) and then jumps time directly to the next event
      * (execute completion, barrier delivery, interrupt, fault action,
-     * watchdog deadline) and bulk-account the skipped wait cycles.
-     * All RunResult counters stay bit-identical to the per-cycle
-     * loop; the differential verifier cross-checks the two modes.
-     * Forced off when traceBarrierStates needs per-cycle records.
+     * watchdog deadline), bulk-accounting the skipped wait cycles.
+     * Off selects the per-cycle reference loop. All RunResult
+     * counters stay bit-identical between the two; the differential
+     * verifier and the equivalence corpus cross-check them. Forced
+     * off when traceBarrierStates needs per-cycle records.
      */
     bool fastForward = true;
 
@@ -252,28 +255,18 @@ struct MachineConfig
      * Pre-decoded threaded-code execution backend: decode each loaded
      * program once into a flat DecodedProgram and run straight-line,
      * non-barrier, non-observable stretches through a computed-goto
-     * dispatch loop that macro-steps whole windows per call (the
-     * busy-stretch dual of fastForward's idle skip; requires
-     * fastForward in the sequential core, where the macro-step path
-     * reuses the shard-window machinery with a fixed quantum). Every
-     * counter, register, PRNG draw, trace record and snapshot byte
-     * stays bit-identical to the per-cycle loop — the equivalence
-     * corpus pins this — so the flag is excluded from the config
-     * fingerprint and the pool's structural key, like the other
-     * how-not-what knobs above.
+     * dispatch loop. In the sequential core it also makes the
+     * event-and-window loop (fastForward) dispatch its windows inline
+     * at a fixed quantum, so those stretches are macro-stepped a
+     * whole window per call; with it off, and no shard driver, the
+     * windows dispatch nothing (plain fast-forward). Every counter,
+     * register, PRNG draw, trace record and snapshot byte stays
+     * bit-identical to the per-cycle loop — the equivalence corpus
+     * pins this — so the flag is excluded from the config fingerprint
+     * and the pool's structural key, like the other how-not-what
+     * knobs above.
      */
     bool predecode = true;
-
-    /**
-     * Allow the windowed dispatcher to execute *loads* on a shard's
-     * private fast path when the load provably cannot observe another
-     * processor's store inside the window (own-cache hit below the
-     * cross-processor write horizon). Pure optimization: values,
-     * counters and snapshot bytes are bit-identical either way — the
-     * equivalence corpus pins this — so like predecode it is excluded
-     * from the config fingerprint.
-     */
-    bool privateReads = true;
 };
 
 } // namespace fb::sim

@@ -49,34 +49,8 @@ class Machine::Port : public MemoryPort
     read(std::size_t addr, std::uint64_t now, std::uint32_t &cycles)
         override
     {
-        if (_machine._windowActive) {
-            // Private fast path inside a shard window: admitted only
-            // after privateReadable(), and no store executes during a
-            // window, so the hit is guaranteed and the peek race-free.
-            // The shared-memory statistics are replayed in processor
-            // order by flushDeferredReads() when the window closes.
-            auto result =
-                _machine._caches[static_cast<std::size_t>(_cpu)]
-                    ->access(addr);
-            FB_ASSERT(result.hit, "private-path load missed the cache "
-                                  "on cpu "
-                                      << _cpu);
-            cycles = result.cycles;
-            _machine._deferredReads[static_cast<std::size_t>(_cpu)]
-                .push_back(addr);
-            return _machine._memory->peek(addr);
-        }
         cycles = latency(addr, now);
         return _machine._memory->read(addr);
-    }
-
-    bool
-    privateReadable(std::size_t addr) const override
-    {
-        return _machine._config.privateReads &&
-               addr < _machine._memory->size() &&
-               _machine._caches[static_cast<std::size_t>(_cpu)]
-                   ->wouldHit(addr);
     }
 
     void
@@ -211,7 +185,6 @@ Machine::Machine(const MachineConfig &config) : _config(config)
     _traceStates.reserve(static_cast<std::size_t>(config.numProcessors));
     _traceHalted.reserve(static_cast<std::size_t>(config.numProcessors));
     _wdHalted.resize(static_cast<std::size_t>(config.numProcessors));
-    _deferredReads.resize(static_cast<std::size_t>(config.numProcessors));
 
     if (config.faultPlan != nullptr && !config.faultPlan->empty()) {
         _injector = std::make_unique<fault::FaultInjector>(
@@ -350,9 +323,6 @@ Machine::reset(const MachineConfig &config)
     _syncRecordsDropped = 0;
     _invalidationsSent = 0;
     _invalidationsAvoided = 0;
-    _windowActive = false;
-    for (auto &dr : _deferredReads)
-        dr.clear();
 
     _injector.reset();
     if (config.faultPlan != nullptr && !config.faultPlan->empty()) {
@@ -463,33 +433,28 @@ Machine::run(ShardWindowDriver *driver)
     constexpr std::uint64_t never =
         std::numeric_limits<std::uint64_t>::max();
 
-    // Per-cycle barrier-state tracing needs the loop body to run on
-    // every cycle, so it disables fast-forward.
+    // One body serves two loops. With fast-forward off, or under
+    // per-cycle barrier-state tracing (one record per cycle), it is
+    // the per-cycle reference loop: the oracle every other mode is
+    // checked against. Otherwise the block at the bottom of the body
+    // makes it the event-and-window loop (INTERNALS section 14).
     const bool fast_forward = _config.fastForward && !_trace;
 
-    // Sharded windows (section 17) generalize fast-forward — both
-    // reason about which cycles the loop body may not observe — so a
-    // driver is honoured only when fast-forward is live and a skew
-    // quantum is configured.
+    // Who runs a window's private ticks: the driver's shard threads at
+    // the configured skew quantum (section 17), or, with the
+    // pre-decoded backend, this thread over every processor at a fixed
+    // quantum (section 19), so straight-line private stretches run
+    // through the threaded-code loop in one call. Results are
+    // identical at any quantum (the sharded suite pins this), so the
+    // fixed value is purely a batching knob. With neither, a window
+    // dispatches nothing and the block is plain fast-forward.
     const bool sharded =
         driver != nullptr && fast_forward && _config.shardQuantum != 0;
-
-    // Macro-stepping (section 19): with the pre-decoded backend the
-    // sequential core reuses the exact same window machinery, inline
-    // on this thread — advanceShardRange over all processors instead
-    // of a driver rendezvous — so straight-line private stretches run
-    // through the threaded-code loop in one call. Identical window
-    // bounds, identical deadlock guard, identical results at any
-    // quantum (the sharded suite pins quantum-invariance), so the
-    // fixed quantum below is purely a batching knob.
+    const bool dispatch_windows = sharded || _config.predecode;
     constexpr std::uint64_t macroQuantum = 4096;
-    const bool macro = !sharded && driver == nullptr && fast_forward &&
-                       _config.predecode;
-    const bool windowed = sharded || macro;
     const std::uint64_t quantum =
         sharded ? _config.shardQuantum : macroQuantum;
-    if (windowed)
-        _procNext.assign(static_cast<std::size_t>(n), 0);
+    _procNext.assign(static_cast<std::size_t>(n), 0);
 
     _active.clear();
     for (int p = 0; p < n; ++p)
@@ -548,8 +513,7 @@ Machine::run(ShardWindowDriver *driver)
                 _active[out++] = p;
                 continue;
             }
-            if (windowed &&
-                _procNext[static_cast<std::size_t>(p)] > _now) {
+            if (_procNext[static_cast<std::size_t>(p)] > _now) {
                 // Ran ahead through private ticks inside an earlier
                 // window: each of those ticks reported Progress and
                 // could not halt, so the sequential loop would have
@@ -561,8 +525,7 @@ Machine::run(ShardWindowDriver *driver)
             }
             TickResult tr =
                 _processors[static_cast<std::size_t>(p)]->tick(_now);
-            if (windowed)
-                _procNext[static_cast<std::size_t>(p)] = _now + 1;
+            _procNext[static_cast<std::size_t>(p)] = _now + 1;
             if (tr == TickResult::Halted) {
                 _wdHalted[static_cast<std::size_t>(p)] = true;
                 continue;  // halted for good: drop from the pool
@@ -660,44 +623,38 @@ Machine::run(ShardWindowDriver *driver)
             break;
         }
 
-        if (windowed) {
-            // Window bound: no processor may run ahead into a cycle
-            // where a global action could affect it — a fault event
-            // or thaw, a watchdog recovery (which can fence a live
-            // straggler), a checkpoint capture (which needs every
-            // core aligned), or the end of the run. Barrier pulse
-            // deliveries deliberately do NOT bound the window: a
-            // private tick never reads anything a delivery changes
-            // (Ready vs Synced both sit on the far side of the
-            // NonBarrier test in isPrivateTick), which is exactly the
-            // fuzzy barrier's license to keep computing while the
-            // sync propagates.
-            std::uint64_t window = _now + 1 + quantum;
-            window = std::min(window, _config.maxCycles);
+        if (fast_forward) {
+            // One bound caps both the window and the skip: no core may
+            // run ahead into, and the clock may not jump past, a cycle
+            // where a global action could affect a core — the end of
+            // the run, a checkpoint capture (which needs every core
+            // aligned, at the cycles the per-cycle loop takes it), a
+            // fault event or thaw, or a watchdog recovery (which can
+            // fence a live straggler). Barrier pulse deliveries
+            // deliberately do NOT bound the window: a private tick
+            // never reads anything a delivery changes (Ready vs Synced
+            // both sit on the far side of the NonBarrier test in
+            // isPrivateTick), which is exactly the fuzzy barrier's
+            // license to keep computing while the sync propagates.
+            std::uint64_t bound = _config.maxCycles;
             if (_config.checkpointEveryCycles != 0) {
                 const std::uint64_t every =
                     _config.checkpointEveryCycles;
-                window = std::min(window, (_now / every + 1) * every);
+                bound = std::min(bound, (_now / every + 1) * every);
             }
             if (_injector)
-                window = std::min(window,
-                                  _injector->nextActivityCycle(_now));
+                bound = std::min(bound,
+                                 _injector->nextActivityCycle(_now));
             if (_watchdog && _watchdog->armed())
-                window = std::min(
-                    window,
-                    std::max(_watchdog->nextDeadline(), _now + 1));
+                bound = std::min(
+                    bound, std::max(_watchdog->nextDeadline(), _now + 1));
 
-            // Rendezvous with the shard threads only when some core
-            // can actually use the window; everything else is the
-            // fast-forward skip below, which costs no synchronization.
+            // Dispatch a window only when some core can actually use
+            // it: a shard rendezvous costs synchronization.
+            const std::uint64_t window =
+                std::min(_now + 1 + quantum, bound);
             bool dispatch = false;
-            if (window > _now + 1) {
-                // Publish per-core private-read horizons first: the
-                // dispatch decision below already consults them via
-                // isPrivateTick's load predicate, and the window's
-                // release barrier makes them visible to every shard.
-                if (_config.privateReads)
-                    computePrivateReadHorizons();
+            if (dispatch_windows && window > _now + 1) {
                 for (int p : _active) {
                     const auto sp = static_cast<std::size_t>(p);
                     if (_injector && _injector->frozen(p, _now))
@@ -710,52 +667,26 @@ Machine::run(ShardWindowDriver *driver)
                 }
             }
             if (dispatch) {
-                _windowActive = true;
                 if (sharded)
                     driver->advanceWindow(window);
                 else
                     advanceShardRange(0, n, window);
-                _windowActive = false;
-                flushDeferredReads();
             }
 
-            // Generalized fast-forward: a core that ran ahead needs
-            // no coordinator attention before _procNext[p]; everyone
-            // else contributes its usual nextEventCycle(). The global
-            // clock still lands on every delivery, fault action and
-            // watchdog deadline.
-            std::uint64_t target = never;
-            for (int p : _active) {
-                const auto sp = static_cast<std::size_t>(p);
-                if (_injector && _injector->frozen(p, _now))
-                    continue;
-                if (_procNext[sp] > _now + 1)
-                    target = std::min(target, _procNext[sp]);
-                else
-                    target = std::min(
-                        target, _processors[sp]->nextEventCycle(_now));
-                if (target <= _now + 1)
-                    break;
-            }
-            {
-                const std::uint64_t delivery =
-                    _network->nextDeliveryCycle();
-                if (delivery != never)
-                    target = std::min(target,
-                                      std::max(delivery, _now + 1));
-            }
-            if (_injector)
-                target = std::min(target,
-                                  _injector->nextActivityCycle(_now));
-            if (_watchdog && _watchdog->armed())
-                target = std::min(
-                    target,
-                    std::max(_watchdog->nextDeadline(), _now + 1));
-
+            // Skip: every cycle from _now + 1 up to (excluding) the
+            // next interesting cycle is pure wait for the cores that
+            // did not run ahead — each skipped body would only apply
+            // the fixed per-state accounting, evaluate() and the fault
+            // machinery would be no-ops, and the termination checks
+            // could not fire — with one exception. The per-cycle loop
+            // declares deadlock as soon as a cycle makes no progress,
+            // even if a stalled core's timer interrupt is still
+            // scheduled; reproduce that by never skipping when the
+            // waiters' ticks would all report BarrierWait and neither
+            // injector nor watchdog is live. A core that ran ahead
+            // made progress on every cycle the skip would cover.
+            const std::uint64_t target = nextInterestingCycle();
             if (target != never && target > _now + 1) {
-                // Same deadlock guard as the sequential skip; a core
-                // that ran ahead made progress on every cycle the
-                // skip would cover, so it counts as wait progress.
                 bool wait_progress = _network->deliveryPending();
                 for (int p : _active) {
                     if (wait_progress)
@@ -767,19 +698,16 @@ Machine::run(ShardWindowDriver *driver)
                         _procNext[sp] > _now + 1 ||
                         _processors[sp]->progressWhileWaiting();
                 }
-                bool would_deadlock =
+                const bool would_deadlock =
                     !wait_progress &&
                     (!_injector || !_injector->pendingActivity(_now)) &&
                     (!_watchdog || !_watchdog->armed());
-                std::uint64_t stop =
-                    std::min(target, _config.maxCycles);
-                if (_config.checkpointEveryCycles != 0) {
-                    const std::uint64_t every =
-                        _config.checkpointEveryCycles;
-                    stop = std::min(stop, (_now / every + 1) * every);
-                }
+                const std::uint64_t stop = std::min(target, bound);
                 if (!would_deadlock && stop > _now + 1) {
-                    std::uint64_t skipped = stop - _now - 1;
+                    // advanceWait() makes the split bit-identical, so
+                    // where the bound pauses time never changes
+                    // results.
+                    const std::uint64_t skipped = stop - _now - 1;
                     for (int p : _active) {
                         const auto sp = static_cast<std::size_t>(p);
                         if (_injector && _injector->frozen(p, _now))
@@ -787,58 +715,6 @@ Machine::run(ShardWindowDriver *driver)
                         if (_procNext[sp] > _now + 1)
                             continue;  // these cycles already ran
                         _processors[sp]->advanceWait(skipped);
-                    }
-                    _now += skipped;
-                }
-            }
-        } else if (fast_forward) {
-            // Every cycle from _now + 1 up to (excluding) the next
-            // interesting cycle is pure wait: each skipped body would
-            // only apply the fixed per-state accounting, evaluate()
-            // and the fault machinery would be no-ops, and the
-            // termination checks could not fire — with one exception.
-            // The legacy loop declares deadlock as soon as a cycle
-            // makes no progress, even if a stalled core's timer
-            // interrupt is still scheduled; reproduce that by never
-            // skipping when the waiters' ticks would all report
-            // BarrierWait and neither injector nor watchdog is live.
-            std::uint64_t target = nextInterestingCycle();
-            if (target != never && target > _now + 1) {
-                bool wait_progress = _network->deliveryPending();
-                for (int p : _active) {
-                    if (wait_progress)
-                        break;
-                    if (_injector && _injector->frozen(p, _now))
-                        continue;
-                    wait_progress =
-                        _processors[static_cast<std::size_t>(p)]
-                            ->progressWhileWaiting();
-                }
-                bool would_deadlock =
-                    !wait_progress &&
-                    (!_injector || !_injector->pendingActivity(_now)) &&
-                    (!_watchdog || !_watchdog->armed());
-                std::uint64_t stop =
-                    std::min(target, _config.maxCycles);
-                if (_config.checkpointEveryCycles != 0) {
-                    // Land exactly on every checkpoint multiple so a
-                    // periodic snapshot is taken at the same cycles
-                    // the per-cycle loop would take it. advanceWait()
-                    // makes the split bit-identical, so the clamp
-                    // never changes results — only where time pauses.
-                    const std::uint64_t every =
-                        _config.checkpointEveryCycles;
-                    const std::uint64_t next_cp =
-                        (_now / every + 1) * every;
-                    stop = std::min(stop, next_cp);
-                }
-                if (!would_deadlock && stop > _now + 1) {
-                    std::uint64_t skipped = stop - _now - 1;
-                    for (int p : _active) {
-                        if (_injector && _injector->frozen(p, _now))
-                            continue;
-                        _processors[static_cast<std::size_t>(p)]
-                            ->advanceWait(skipped);
                     }
                     _now += skipped;
                 }
@@ -944,83 +820,6 @@ Machine::advanceShardRange(int first, int last, std::uint64_t stop)
     }
 }
 
-void
-Machine::flushDeferredReads()
-{
-    const std::size_t line_words =
-        std::max<std::size_t>(1, _config.cache.lineWords);
-    for (int p = 0; p < numProcessors(); ++p) {
-        auto &reads = _deferredReads[static_cast<std::size_t>(p)];
-        if (reads.empty())
-            continue;
-        const std::uint64_t bit = 1ull << (p & 63);
-        for (std::size_t addr : reads) {
-            _memory->recordAccess(addr);
-            const std::size_t line = addr / line_words;
-            if (line < _lineSharers.size()) {
-                _lineSharers[line] |= bit;
-                markSharerEpoch(line);
-            }
-        }
-        reads.clear();
-    }
-}
-
-std::uint64_t
-Machine::writeBoundFor(int q) const
-{
-    const auto sq = static_cast<std::size_t>(q);
-    const Processor &proc = *_processors[sq];
-    if (proc.blockedAtBarrier()) {
-        // Stalled at a barrier: the earliest globally visible action
-        // is at its wake-up — the pending delivery if one is armed,
-        // else the soonest a future completion could deliver (next
-        // cycle's AND plus the flat propagation floor; hierarchical
-        // topologies only add latency), or a timer interrupt, whose
-        // service routine may store.
-        std::uint64_t bound = _network->deliveryCycleFor(q);
-        bound = std::min(
-            bound, _now + 1 + std::uint64_t{_config.syncLatency});
-        bound = std::min(bound, proc.nextEventCycle(_now));
-        return bound;
-    }
-    // Running: the skew cursor is the next cycle it can execute
-    // anything at all, stores included.
-    return _procNext[sq];
-}
-
-void
-Machine::computePrivateReadHorizons()
-{
-    // horizon(p) = min over every other core q of writeBoundFor(q),
-    // computed for all cores at once with the two-smallest trick.
-    // Fenced and halted cores are out of _active and can never store
-    // again; frozen cores cannot act before the window closes (the
-    // window is clamped to the injector's next activity, and a thaw
-    // is an injector activity).
-    constexpr std::uint64_t never =
-        std::numeric_limits<std::uint64_t>::max();
-    std::uint64_t m1 = never;
-    std::uint64_t m2 = never;
-    int argmin = -1;
-    for (int q : _active) {
-        if (_injector && _injector->frozen(q, _now))
-            continue;
-        const std::uint64_t b = writeBoundFor(q);
-        if (b < m1) {
-            m2 = m1;
-            m1 = b;
-            argmin = q;
-        } else if (b < m2) {
-            m2 = b;
-        }
-    }
-    for (int p : _active) {
-        const auto sp = static_cast<std::size_t>(p);
-        _processors[sp]->setPrivateReadHorizon(p == argmin ? m2 : m1);
-    }
-}
-
 std::uint64_t
 Machine::nextInterestingCycle() const
 {
@@ -1035,10 +834,12 @@ Machine::nextInterestingCycle() const
         // window this function allows to be skipped.)
         if (_injector && _injector->frozen(p, _now))
             continue;
-        next = std::min(
-            next,
-            _processors[static_cast<std::size_t>(p)]->nextEventCycle(
-                _now));
+        // A core that ran ahead needs no coordinator attention before
+        // its skew cursor; everyone else wakes at nextEventCycle().
+        const auto sp = static_cast<std::size_t>(p);
+        next = std::min(next, _procNext[sp] > _now + 1
+                                  ? _procNext[sp]
+                                  : _processors[sp]->nextEventCycle(_now));
         if (next <= _now + 1)
             return _now + 1;
     }
@@ -1244,8 +1045,7 @@ Machine::configFingerprint() const
     h.mix(_config.syncRecordWindow);
     h.mix(_config.fastForward ? 1 : 0);
     // checkpointEveryCycles, checkpointRebaseEvery, shardCount,
-    // shardQuantum, predecode and privateReads are deliberately
-    // excluded: none of them changes results, so snapshots taken at
+    // shardQuantum and predecode are deliberately excluded: none of them changes results, so snapshots taken at
     // different cadences — or under a different shard layout or
     // execution backend — are mutually restorable.
     h.mixString(_config.faultPlan != nullptr ? _config.faultPlan->toSpec()

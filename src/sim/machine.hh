@@ -131,11 +131,12 @@ struct SyncRecord
 
 /**
  * Shard rendezvous hook for exec::ShardedMachine (INTERNALS section
- * 17). When a driver is installed, run() replaces the fast-forward
- * skip with a window dispatch: advanceWindow(stop) must make every
- * shard call advanceShardRange(first, last, stop) for its processor
- * range (disjoint ranges, any threading) and return only when all
- * shards are done. The machine itself never spawns threads.
+ * 17). With a driver installed, the event-and-window loop of run()
+ * hands each window to the driver instead of running it inline:
+ * advanceWindow(stop) must make every shard call
+ * advanceShardRange(first, last, stop) for its processor range
+ * (disjoint ranges, any threading) and return only when all shards
+ * are done. The machine itself never spawns threads.
  */
 class ShardWindowDriver
 {
@@ -217,19 +218,24 @@ class Machine : public ExecutionObserver
 
     /**
      * Run until every processor halts, a deadlock is detected, or the
-     * cycle guard trips. With a @p driver (installed by
-     * exec::ShardedMachine), processors additionally run ahead of the
-     * global clock through provably private ticks, bounded by
-     * MachineConfig::shardQuantum; results are byte-identical either
-     * way.
+     * cycle guard trips. Two paths, byte-identical in every result:
+     * the per-cycle reference loop (MachineConfig::fastForward off,
+     * or barrier-state tracing on) and the event-and-window loop. In
+     * the latter, each iteration opens a window in which processors
+     * run ahead of the global clock through provably private ticks —
+     * on the @p driver's shard threads (exec::ShardedMachine, bounded
+     * by MachineConfig::shardQuantum), inline with
+     * MachineConfig::predecode, or not at all (plain fast-forward) —
+     * then jumps the clock to the next interesting cycle.
      */
     RunResult run(ShardWindowDriver *driver = nullptr);
 
     /**
      * Shard worker entry: advance processors [@p first, @p last)
      * through consecutive private ticks up to (excluding) cycle
-     * @p stop. Only called from ShardWindowDriver::advanceWindow(),
-     * on disjoint ranges; touches nothing outside the range's
+     * @p stop. Called from ShardWindowDriver::advanceWindow() on
+     * disjoint ranges, or by run() itself over every processor when
+     * no driver is installed; touches nothing outside the range's
      * processors and their skew cursors.
      */
     void advanceShardRange(int first, int last, std::uint64_t stop);
@@ -371,10 +377,11 @@ class Machine : public ExecutionObserver
     std::string describeState() const;
 
     /**
-     * Fast-forward: the earliest cycle after _now at which the loop
-     * body does anything beyond fixed wait accounting — the minimum
-     * over every active processor's nextEventCycle(), the network's
-     * pending delivery, the injector's next action, and the
+     * Skip target of the event-and-window loop: the earliest cycle
+     * after _now at which the loop body does anything beyond fixed
+     * wait accounting — the minimum over every active processor's
+     * skew cursor (if it ran ahead) or nextEventCycle(), the
+     * network's pending delivery, the injector's next action, and the
      * watchdog's next deadline. UINT64_MAX means no future event is
      * scheduled (the next cycle decides deadlock / completion, so the
      * caller must single-step, never skip).
@@ -496,11 +503,11 @@ class Machine : public ExecutionObserver
     /** The group checkMembership() is testing; empty between calls. */
     HiBitset _memberScratch;
     /**
-     * Sharded-run skew cursors: _procNext[p] is the next global cycle
-     * whose tick processor p still owes. A processor with
-     * _procNext[p] > _now ran ahead through private ticks; the
-     * coordinator counts it as alive-and-progressing and skips its
-     * tick. All zero (and ignored) in sequential runs; not part of
+     * Skew cursors: _procNext[p] is the next global cycle whose tick
+     * processor p still owes. A processor with _procNext[p] > _now ran
+     * ahead through private ticks in a window; the coordinator counts
+     * it as alive-and-progressing and skips its tick. Maintained in
+     * every mode (never ahead without a window dispatch); not part of
      * snapshots — windows never span a checkpoint boundary, so every
      * processor is aligned whenever state is captured.
      */
@@ -511,44 +518,6 @@ class Machine : public ExecutionObserver
      * Maintained incrementally (halt edges, kills, recovery fences)
      * so the per-cycle watchdog block is O(active), not O(n). */
     std::vector<bool> _wdHalted;
-
-    /**
-     * True while a shard window is being dispatched. Port::read routes
-     * through the deferred-statistics path during a window: the value
-     * comes from a race-free peek, the timing from the (asserted) own-
-     * cache hit, and the shared-memory statistics are queued per
-     * processor and replayed by flushDeferredReads() when the window
-     * closes. Written by the coordinator before the window's release
-     * barrier, cleared after the join, so shard threads read it with
-     * happens-before.
-     */
-    bool _windowActive = false;
-    /** Addresses read on the private fast path this window, per
-     * processor (each slot touched only by its owning shard). */
-    std::vector<std::vector<std::size_t>> _deferredReads;
-
-    /**
-     * Replay the statistics of every private-path load performed in
-     * the window just closed, in processor order: memory access
-     * counts, sharer-mask bits and the sharer delta-epoch marks. All
-     * of these are order-insensitive (sums, idempotent bit-sets, and
-     * sorted-at-encode page/line lists), so the replay is byte-
-     * identical to the sequential interleaving.
-     */
-    void flushDeferredReads();
-
-    /**
-     * Earliest future cycle at which processor @p q could execute a
-     * store (or any globally visible action): its skew cursor when
-     * running, or its barrier wake-up bound when blocked at a barrier.
-     * Private loads of other processors are admitted strictly below
-     * the minimum of these bounds.
-     */
-    std::uint64_t writeBoundFor(int q) const;
-
-    /** Publish per-processor private-read horizons for a window
-     * dispatch (min over the other processors' writeBoundFor()). */
-    void computePrivateReadHorizons();
 
     // Per-line sharer masks for the write-through coherence filter
     // (bit p = processor p's cache may hold the line; conservative

@@ -35,15 +35,6 @@ SharedMemory::write(std::size_t addr, std::int64_t value)
     _words[addr] = value;
 }
 
-void
-SharedMemory::recordAccess(std::size_t addr)
-{
-    FB_ASSERT(addr < _words.size(), "access record for out-of-range "
-                                    "address "
-                                        << addr);
-    touch(addr);
-}
-
 std::int64_t
 SharedMemory::peek(std::size_t addr) const
 {

@@ -57,16 +57,6 @@ class SharedMemory
     /** Write without touching access statistics (host-side setup). */
     void poke(std::size_t addr, std::int64_t value);
 
-    /**
-     * Apply the statistics side of read() without returning the value:
-     * exactly one access charged to @p addr. The windowed dispatcher
-     * reads values race-free via peek() inside a window and replays
-     * the statistics here afterwards; counts are commutative sums and
-     * the snapshot encoders sort pages, so the deferred replay is
-     * byte-identical to charging at access time.
-     */
-    void recordAccess(std::size_t addr);
-
     /** Total simulated accesses. */
     std::uint64_t totalAccesses() const { return _totalAccesses; }
 

@@ -11,6 +11,37 @@ namespace fb::sim
 using isa::Instruction;
 using isa::Opcode;
 
+namespace
+{
+
+/**
+ * ADD, SUB, MUL, DIV and the immediate forms, shared by both
+ * executors. Registers are 64-bit two's complement, so results wrap
+ * modulo 2^64: computed in unsigned arithmetic, where overflow is
+ * defined, and cast back. The one overflowing quotient, INT64_MIN /
+ * -1, wraps to INT64_MIN (the RISC-V rule). Division by zero is the
+ * caller's to reject.
+ */
+inline std::int64_t
+arith(Opcode op, std::int64_t a, std::int64_t b)
+{
+    const auto ua = static_cast<std::uint64_t>(a);
+    const auto ub = static_cast<std::uint64_t>(b);
+    switch (op) {
+      case Opcode::SUB:
+        return static_cast<std::int64_t>(ua - ub);
+      case Opcode::MUL:
+      case Opcode::MULI:
+        return static_cast<std::int64_t>(ua * ub);
+      case Opcode::DIV:
+        return b == -1 ? static_cast<std::int64_t>(0 - ua) : a / b;
+      default:  // ADD, ADDI
+        return static_cast<std::int64_t>(ua + ub);
+    }
+}
+
+} // namespace
+
 Processor::Processor(int id, const isa::Program &program,
                      barrier::BarrierUnit &unit, MemoryPort &mem,
                      int pipeline_depth, StallModel stall,
@@ -65,7 +96,6 @@ Processor::reset(int pipeline_depth, StallModel stall,
     _arrivePending = false;
     _arriveCycle = 0;
     _lastNonRegionComplete = 0;
-    _privReadHorizon = 0;
     _instructions = 0;
     _barrierWaitCycles = 0;
     _contextSwitchCycles = 0;
@@ -332,17 +362,6 @@ Processor::isPrivateTick(std::uint64_t now) const
     const Instruction &instr = _program.at(pc);
     switch (instr.op) {
       case Opcode::LD:
-        // A load is private when it provably cannot observe another
-        // core's store inside the window — its cycle lies strictly
-        // below the write horizon the Machine published for this
-        // window — and is timing-inert: an own-cache hit (no bus
-        // transaction, no allocation, sharer bit already recorded).
-        // Everything else goes to the coordinator as before.
-        if (now >= _privReadHorizon ||
-            !_mem.privateReadable(static_cast<std::size_t>(
-                reg(instr.rs1) + instr.imm)))
-            return false;
-        break;
       case Opcode::ST:
       case Opcode::FAA:     // memory port (bus, caches, counters)
       case Opcode::SETTAG:
@@ -487,10 +506,7 @@ Processor::runDecoded(std::uint64_t next, std::uint64_t stop)
         if (pc >= code_size)
             break;  // running off the end halts — machine-visible
         const DecodedInsn &di = code[pc];
-        if (!di.privateOp &&
-            !(di.op == Opcode::LD && next < _privReadHorizon &&
-              _mem.privateReadable(static_cast<std::size_t>(
-                  _regs[static_cast<std::size_t>(di.rs1)] + di.imm))))
+        if (!di.privateOp)
             break;  // memory / barrier-control / HALT: coordinator's
 
         bool effective_region = false;
@@ -540,13 +556,16 @@ Processor::runDecoded(std::uint64_t next, std::uint64_t stop)
 #else
         switch (di.op) {
 #endif
-        FB_OP(ADD) FB_WR(FB_R(di.rs1) + FB_R(di.rs2)); FB_DONE;
-        FB_OP(SUB) FB_WR(FB_R(di.rs1) - FB_R(di.rs2)); FB_DONE;
-        FB_OP(MUL) FB_WR(FB_R(di.rs1) * FB_R(di.rs2)); FB_DONE;
+        FB_OP(ADD) FB_WR(arith(Opcode::ADD, FB_R(di.rs1), FB_R(di.rs2)));
+        FB_DONE;
+        FB_OP(SUB) FB_WR(arith(Opcode::SUB, FB_R(di.rs1), FB_R(di.rs2)));
+        FB_DONE;
+        FB_OP(MUL) FB_WR(arith(Opcode::MUL, FB_R(di.rs1), FB_R(di.rs2)));
+        FB_DONE;
         FB_OP(DIV) {
             FB_ASSERT(FB_R(di.rs2) != 0, "division by zero at pc "
                                              << pc << " on cpu " << _id);
-            FB_WR(FB_R(di.rs1) / FB_R(di.rs2));
+            FB_WR(arith(Opcode::DIV, FB_R(di.rs1), FB_R(di.rs2)));
             FB_DONE;
         }
         FB_OP(AND) FB_WR(FB_R(di.rs1) & FB_R(di.rs2)); FB_DONE;
@@ -555,8 +574,10 @@ Processor::runDecoded(std::uint64_t next, std::uint64_t stop)
         FB_OP(SLT) FB_WR(FB_R(di.rs1) < FB_R(di.rs2) ? 1 : 0); FB_DONE;
         FB_OP(SHL) FB_WR(FB_R(di.rs1) << (FB_R(di.rs2) & 63)); FB_DONE;
         FB_OP(SHR) FB_WR(FB_R(di.rs1) >> (FB_R(di.rs2) & 63)); FB_DONE;
-        FB_OP(ADDI) FB_WR(FB_R(di.rs1) + di.imm); FB_DONE;
-        FB_OP(MULI) FB_WR(FB_R(di.rs1) * di.imm); FB_DONE;
+        FB_OP(ADDI) FB_WR(arith(Opcode::ADDI, FB_R(di.rs1), di.imm));
+        FB_DONE;
+        FB_OP(MULI) FB_WR(arith(Opcode::MULI, FB_R(di.rs1), di.imm));
+        FB_DONE;
         FB_OP(SLTI) FB_WR(FB_R(di.rs1) < di.imm ? 1 : 0); FB_DONE;
         FB_OP(LI) FB_WR(di.imm); FB_DONE;
         FB_OP(MOV) FB_WR(FB_R(di.rs1)); FB_DONE;
@@ -615,17 +636,7 @@ Processor::runDecoded(std::uint64_t next, std::uint64_t stop)
             FB_DONE;
         }
         FB_OP(NOP) FB_DONE;
-        FB_OP(LD) {
-            // Reached only through the private-load pre-check above
-            // (own-cache hit below the write horizon); the memory
-            // port routes it through the deferred-statistics path.
-            std::uint32_t mem_cycles = 0;
-            const std::size_t a =
-                static_cast<std::size_t>(FB_R(di.rs1) + di.imm);
-            FB_WR(_mem.read(a, next, mem_cycles));
-            cost += mem_cycles;
-            FB_DONE;
-        }
+        FB_OP(LD)
         FB_OP(ST)
         FB_OP(FAA)
         FB_OP(SETTAG)
@@ -884,13 +895,13 @@ Processor::executeAt(std::uint64_t now)
     };
 
     switch (instr.op) {
-      case Opcode::ADD: write_rd(rs1() + rs2()); break;
-      case Opcode::SUB: write_rd(rs1() - rs2()); break;
-      case Opcode::MUL: write_rd(rs1() * rs2()); break;
+      case Opcode::ADD: write_rd(arith(Opcode::ADD, rs1(), rs2())); break;
+      case Opcode::SUB: write_rd(arith(Opcode::SUB, rs1(), rs2())); break;
+      case Opcode::MUL: write_rd(arith(Opcode::MUL, rs1(), rs2())); break;
       case Opcode::DIV: {
         FB_ASSERT(rs2() != 0, "division by zero at pc " << _pc
                                                         << " on cpu " << _id);
-        write_rd(rs1() / rs2());
+        write_rd(arith(Opcode::DIV, rs1(), rs2()));
         break;
       }
       case Opcode::AND: write_rd(rs1() & rs2()); break;
@@ -899,8 +910,12 @@ Processor::executeAt(std::uint64_t now)
       case Opcode::SLT: write_rd(rs1() < rs2() ? 1 : 0); break;
       case Opcode::SHL: write_rd(rs1() << (rs2() & 63)); break;
       case Opcode::SHR: write_rd(rs1() >> (rs2() & 63)); break;
-      case Opcode::ADDI: write_rd(rs1() + instr.imm); break;
-      case Opcode::MULI: write_rd(rs1() * instr.imm); break;
+      case Opcode::ADDI:
+        write_rd(arith(Opcode::ADDI, rs1(), instr.imm));
+        break;
+      case Opcode::MULI:
+        write_rd(arith(Opcode::MULI, rs1(), instr.imm));
+        break;
       case Opcode::SLTI: write_rd(rs1() < instr.imm ? 1 : 0); break;
       case Opcode::LI: write_rd(instr.imm); break;
       case Opcode::MOV: write_rd(rs1()); break;

@@ -36,19 +36,6 @@ class MemoryPort
     /** Store a word; @p cycles receives the access latency. */
     virtual void write(std::size_t addr, std::int64_t value,
                        std::uint64_t now, std::uint32_t &cycles) = 0;
-
-    /**
-     * True if a load of @p addr is coherence- and timing-inert for
-     * this processor right now: it would hit the private cache (so no
-     * bus transaction, no allocation, and the sharer mask already
-     * records this cache). Combined with the write horizon this
-     * admits loads onto the shard-private fast path. Default: never.
-     */
-    virtual bool privateReadable(std::size_t addr) const
-    {
-        (void)addr;
-        return false;
-    }
 };
 
 /** Observer for barrier-related execution events (safety oracle). */
@@ -213,30 +200,6 @@ class Processor
     /** True if @p instr may occupy a non-leading bundle slot. */
     static bool bundleable(const isa::Instruction &instr);
 
-    /**
-     * Publish the private-read horizon for the coming shard window:
-     * loads at cycles strictly below @p horizon may execute on the
-     * private fast path when they also hit the own cache (see
-     * MemoryPort::privateReadable). Recomputed by the Machine before
-     * every window dispatch; per-window scratch, never serialized.
-     */
-    void setPrivateReadHorizon(std::uint64_t horizon)
-    {
-        _privReadHorizon = horizon;
-    }
-
-    /**
-     * True while blocked at a barrier (hardware stall or suspended
-     * software task): the core cannot execute a store before a sync
-     * delivery or an interrupt wakes it. Input to the Machine's
-     * write-horizon computation.
-     */
-    bool blockedAtBarrier() const
-    {
-        return _state == CoreState::HwStalled ||
-               _state == CoreState::SwSuspended;
-    }
-
     /** True once HALT executed or the stream ran off the end. */
     bool halted() const { return _halted; }
 
@@ -392,12 +355,6 @@ class Processor
 
     /** Completion cycle of the last issued non-region instruction. */
     std::uint64_t _lastNonRegionComplete = 0;
-
-    /** Private-read horizon for the current shard window (cycles
-     * strictly below it may load on the private path; 0 = none).
-     * Per-window scratch: recomputed before every dispatch, not
-     * serialized, reset() clears it. */
-    std::uint64_t _privReadHorizon = 0;
 
     std::uint64_t _instructions = 0;
     std::uint64_t _barrierWaitCycles = 0;

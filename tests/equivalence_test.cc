@@ -12,16 +12,20 @@
  */
 
 #include <cstdint>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "barrier/topology.hh"
+#include "core/barrierprogs.hh"
 #include "exec/machine_pool.hh"
 #include "exec/program_cache.hh"
 #include "fault/plan.hh"
 #include "harness.hh"
+#include "isa/assembler.hh"
 #include "sim/machine.hh"
 #include "verify/generator.hh"
 #include "verify/scenario.hh"
@@ -33,30 +37,21 @@ using namespace fb;
 using namespace fb::harness;
 
 /**
- * Run one seed's scenario under the legacy per-cycle interpreter
- * (the oracle), then under every backend combination the simulator
- * ships — fast-forward with the pre-decoded threaded-code dispatch
- * on and off, each at shard counts 1 and 4 — and require all of
- * them bit-identical. Predecoded runs reuse the ProgramCache's
- * interned threaded-code blocks when a cache is supplied, so the
- * sweep also covers Machine::loadProgram's shared-block path.
+ * Run @p programs under the legacy per-cycle interpreter (the
+ * oracle), then under every backend combination the simulator ships
+ * — the event-and-window loop with the pre-decoded threaded-code
+ * dispatch on and off, each at shard counts 1 and 4 — and require
+ * all of them bit-identical. Predecoded runs use the caller's
+ * @p decoded blocks when given (null entries decode at load).
  */
 void
-checkSeed(std::uint64_t seed, bool with_faults,
-          exec::MachinePool *pool = nullptr,
-          exec::ProgramCache *cache = nullptr)
+expectModesMatchOracle(
+    const verify::Scenario &sc, const std::vector<isa::Program> &programs,
+    const Knobs &k, const std::string &ctx,
+    exec::MachinePool *pool = nullptr,
+    const std::vector<std::shared_ptr<const sim::DecodedProgram>>
+        *decoded = nullptr)
 {
-    verify::ProgramSpec spec = verify::randomSpec(seed);
-    verify::Scenario sc = verify::render(spec);
-    if (with_faults)
-        attachFaults(sc, corpusFaultSeed(seed));
-    std::vector<isa::Program> programs;
-    std::vector<std::shared_ptr<const sim::DecodedProgram>> decoded;
-    ASSERT_TRUE(assemblePrograms(sc, programs, cache, &decoded))
-        << "seed " << seed;
-
-    Knobs k = knobsFor(seed);
-    const std::string ctx = describeSeed(seed, with_faults, k);
     Observation legacy = runOnce(
         sc, programs, configFor(sc, k, false, /*predecode=*/false),
         pool);
@@ -77,9 +72,35 @@ checkSeed(std::uint64_t seed, bool with_faults,
         sim::MachineConfig cfg =
             configFor(sc, k, true, v.predecode, v.shards);
         Observation obs = runOnce(sc, programs, cfg, pool,
-                                  v.predecode ? &decoded : nullptr);
+                                  v.predecode ? decoded : nullptr);
         expectIdentical(obs, legacy, ctx + v.name);
     }
+}
+
+/**
+ * One corpus seed through expectModesMatchOracle. Predecoded runs
+ * reuse the ProgramCache's interned threaded-code blocks when a cache
+ * is supplied, so the sweep also covers Machine::loadProgram's
+ * shared-block path.
+ */
+void
+checkSeed(std::uint64_t seed, bool with_faults,
+          exec::MachinePool *pool = nullptr,
+          exec::ProgramCache *cache = nullptr)
+{
+    verify::ProgramSpec spec = verify::randomSpec(seed);
+    verify::Scenario sc = verify::render(spec);
+    if (with_faults)
+        attachFaults(sc, corpusFaultSeed(seed));
+    std::vector<isa::Program> programs;
+    std::vector<std::shared_ptr<const sim::DecodedProgram>> decoded;
+    ASSERT_TRUE(assemblePrograms(sc, programs, cache, &decoded))
+        << "seed " << seed;
+
+    Knobs k = knobsFor(seed);
+    expectModesMatchOracle(sc, programs, k,
+                           describeSeed(seed, with_faults, k), pool,
+                           &decoded);
 }
 
 TEST(Equivalence, FastForwardMatchesLegacyOnFuzzPrograms)
@@ -100,6 +121,60 @@ TEST(Equivalence, FastForwardMatchesLegacyUnderFaults)
     for (std::uint64_t seed = 1; seed <= kFaultSeeds; ++seed)
         checkSeed(seed, true, &pool, &cache);
     EXPECT_GT(pool.reuses(), 0u);
+}
+
+TEST(Equivalence, LoadsAndMemoryTrafficMatchAcrossModes)
+{
+    // The fuzz generator emits stores only. Loads reach the memory
+    // port here: the spin barriers poll shared words with ld and
+    // arrive with faa (cross-processor traffic on the same lines),
+    // and the own-word program interleaves private ALU work with
+    // loads and stores of words only its processor touches (the
+    // private_compute shape). Jitter desynchronizes the processors.
+    constexpr int procs = 8;
+    Knobs k;
+    k.jitterMean = 1.5;
+    k.syncLatency = 2;
+
+    std::vector<std::pair<std::string, std::vector<isa::Program>>> cases;
+    for (core::SimBarrierKind kind :
+         {core::SimBarrierKind::Centralized,
+          core::SimBarrierKind::Dissemination,
+          core::SimBarrierKind::HardwareFuzzy,
+          core::SimBarrierKind::HardwarePoint}) {
+        std::vector<isa::Program> programs;
+        for (int p = 0; p < procs; ++p)
+            programs.push_back(
+                core::buildBarrierLoop(kind, procs, p, 10, 4 + 3 * p, 6));
+        cases.emplace_back(core::simBarrierKindName(kind),
+                           std::move(programs));
+    }
+    std::vector<isa::Program> own_word;
+    for (int p = 0; p < procs; ++p) {
+        std::ostringstream src;
+        src << "settag 1\nsetmask -1\nli r1, 0\nli r2, 10\n"
+            << "li r8, " << 1024 + 64 * p << "\nloop:\n";
+        for (int i = 0; i < 40 + 5 * p; ++i) {
+            const int rd = 3 + i % 5;
+            if (i % 8 == 0)
+                src << "ld r" << rd << ", " << (7 * i + p) % 32 << "(r8)\n";
+            else
+                src << "addi r" << rd << ", r" << 3 + (i + 1) % 5 << ", "
+                    << i << "\n";
+        }
+        src << "st r3, " << p % 32 << "(r8)\n.region 1\n"
+            << "addi r1, r1, 1\nbne r1, r2, loop\n.endregion\nhalt\n";
+        isa::Program prog;
+        std::string err;
+        ASSERT_TRUE(isa::Assembler::assemble(src.str(), prog, err)) << err;
+        own_word.push_back(std::move(prog));
+    }
+    cases.emplace_back("own-word-loads", std::move(own_word));
+
+    verify::Scenario sc;
+    sc.sources.resize(procs);  // the harness reads only procs()
+    for (const auto &[name, programs] : cases)
+        expectModesMatchOracle(sc, programs, k, name);
 }
 
 TEST(Equivalence, TopologySweepPreservesResults)

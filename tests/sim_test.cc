@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -168,6 +170,59 @@ TEST(Machine, AllAluOpsExecute)
     EXPECT_EQ(p.reg(14), 20);
     EXPECT_EQ(p.reg(15), 1);
     EXPECT_EQ(p.reg(16), 12);
+}
+
+TEST(Machine, ArithmeticWrapsInEveryExecutionMode)
+{
+    // Registers are 64-bit two's complement: ADD/SUB/MUL and the
+    // immediate forms wrap modulo 2^64, and INT64_MIN / -1 wraps to
+    // INT64_MIN. The loop is the fuzz generator's LCG step; with
+    // predecode and fast-forward on it runs in the decoded dispatch,
+    // otherwise in the per-cycle interpreter.
+    const isa::Program program = assembleOrDie(R"(
+        li r1, 9223372036854775807
+        li r2, -9223372036854775808
+        li r3, -1
+        addi r4, r1, 1
+        add r5, r1, r1
+        sub r6, r2, r1
+        mul r7, r1, r1
+        muli r8, r1, 1103515245
+        div r9, r2, r3
+        li r10, 7
+        li r11, 0
+        li r12, 100
+    lcg:
+        muli r10, r10, 1103515245
+        addi r10, r10, 12345
+        addi r11, r11, 1
+        bne r11, r12, lcg
+        halt
+    )");
+    constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+    for (bool predecode : {true, false}) {
+        for (bool fast_forward : {true, false}) {
+            MachineConfig cfg = smallConfig(1);
+            cfg.predecode = predecode;
+            cfg.fastForward = fast_forward;
+            Machine m(cfg);
+            m.loadProgram(0, program);
+            const RunResult r = m.run();
+            const std::string ctx =
+                std::string("predecode=") + (predecode ? "1" : "0") +
+                " fast_forward=" + (fast_forward ? "1" : "0");
+            EXPECT_FALSE(r.deadlocked) << ctx;
+            EXPECT_FALSE(r.timedOut) << ctx;
+            const Processor &p = m.processor(0);
+            EXPECT_EQ(p.reg(4), kMin) << ctx;
+            EXPECT_EQ(p.reg(5), -2) << ctx;
+            EXPECT_EQ(p.reg(6), 1) << ctx;
+            EXPECT_EQ(p.reg(7), 1) << ctx;
+            EXPECT_EQ(p.reg(8), 9223372035751260563) << ctx;
+            EXPECT_EQ(p.reg(9), kMin) << ctx;
+            EXPECT_EQ(p.reg(10), 7606285465887967555) << ctx;
+        }
+    }
 }
 
 TEST(Machine, RegisterZeroIsHardwiredZero)

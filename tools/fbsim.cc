@@ -35,23 +35,24 @@
  *   --watchdog T[:A]     barrier watchdog: timeout cycles and re-arm
  *                        attempts (default attempts 3)
  *   --max-cycles N       runaway guard (default 200M)
- *   --no-fast-forward    force the legacy per-cycle loop instead of
- *                        the event-driven fast-forward core (results
- *                        are identical; useful for timing comparisons
+ *   --no-fast-forward    run the per-cycle reference loop instead of
+ *                        the event-and-window loop (results are
+ *                        identical; useful for timing comparisons
  *                        and as a differential cross-check)
  *   --no-predecode       force the legacy instruction-by-instruction
  *                        interpreter instead of the pre-decoded
  *                        threaded-code backend (results are
- *                        identical). Composes with --no-fast-forward:
- *                        all four combinations are valid and
- *                        byte-identical; predecode's macro-step only
- *                        engages when fast-forward is also on
- *   --shards N[:QUANTUM] advance the machine across N host threads
- *                        with QUANTUM cycles of permitted skew
- *                        (default 1024); results are byte-identical
- *                        to --shards 1 at any N. Falls back to the
- *                        sequential core under --trace or
- *                        --no-fast-forward
+ *                        identical); without --shards the
+ *                        event-and-window loop then runs no private
+ *                        ticks ahead (plain fast-forward). Composes
+ *                        with --no-fast-forward and --shards: every
+ *                        combination is valid and byte-identical
+ *   --shards N[:QUANTUM] run the event-and-window loop's private
+ *                        ticks on N host threads with QUANTUM cycles
+ *                        of permitted skew (default 1024); results
+ *                        are byte-identical to --shards 1 at any N.
+ *                        Falls back to the sequential core under
+ *                        --trace or --no-fast-forward
  *   --checkpoint DIR:EVERY[:KEEP]
  *                        durably snapshot the machine into DIR every
  *                        EVERY cycles, retaining the newest KEEP
