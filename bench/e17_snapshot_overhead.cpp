@@ -89,6 +89,8 @@ runOnce(Mode mode, const std::string &storeDir)
     cfg.memWords = 1 << 14;
     if (mode != Mode::Off)
         cfg.checkpointEveryCycles = kCheckpointEvery;
+    if (mode == Mode::InMemory || mode == Mode::Durable)
+        cfg.checkpointRebaseEvery = 1; // full snapshots only
     applyEnvOverrides(cfg);
     sim::Machine machine(cfg);
     for (int p = 0; p < kProcs; ++p)
@@ -115,41 +117,23 @@ runOnce(Mode mode, const std::string &storeDir)
                 ack.degradation = std::move(v.degradation);
                 return ack;
             });
-    } else if (mode == Mode::DeltaSync) {
+    } else if (mode != Mode::Off) {
+        // Inline sink: assemble each capture on the simulation thread,
+        // then persist it unless the mode measures encoding alone.
+        const bool persist = mode != Mode::InMemory;
         machine.setStagedCheckpointSink(
-            [&s, &store](snapshot::SnapshotHeader header,
-                         std::vector<snapshot::Section> sections) {
+            [&s, &store, persist](snapshot::SnapshotHeader header,
+                                  std::vector<snapshot::Section> sections) {
                 auto bytes = snapshot::assemble(header, sections);
                 ++s.snapshots;
                 s.snapshotBytes += bytes.size();
                 std::string err;
-                if (!store.save(header.generation, bytes, err)) {
+                if (persist && !store.save(header.generation, bytes, err)) {
                     std::fprintf(stderr, "E17 store failed: %s\n",
                                  err.c_str());
                     std::exit(1);
                 }
                 return sim::Machine::CheckpointAck{};
-            });
-    } else if (mode == Mode::InMemory) {
-        machine.setCheckpointSink(
-            [&s](std::uint64_t, const std::vector<std::uint8_t> &bytes) {
-                ++s.snapshots;
-                s.snapshotBytes += bytes.size();
-                return true;
-            });
-    } else if (mode == Mode::Durable) {
-        machine.setCheckpointSink(
-            [&s, &store](std::uint64_t cycle,
-                         const std::vector<std::uint8_t> &bytes) {
-                ++s.snapshots;
-                s.snapshotBytes += bytes.size();
-                std::string err;
-                if (!store.save(cycle / kCheckpointEvery, bytes, err)) {
-                    std::fprintf(stderr, "E17 store failed: %s\n",
-                                 err.c_str());
-                    std::exit(1);
-                }
-                return true;
             });
     }
 

@@ -208,20 +208,21 @@ struct MachineConfig
 
     /**
      * Take a state snapshot every this many cycles (0 disables
-     * checkpointing). The snapshot is handed to the sink installed
-     * with Machine::setCheckpointSink(). A non-zero period also clamps
-     * fast-forward skips to checkpoint boundaries so the clock lands
-     * exactly on every multiple — by the advanceWait() invariant this
-     * never changes results, and it is excluded from the config
+     * checkpointing). The capture is handed to the sink installed
+     * with Machine::setStagedCheckpointSink(). A non-zero period also
+     * clamps fast-forward skips to checkpoint boundaries so the clock
+     * lands exactly on every multiple — by the advanceWait() invariant
+     * this never changes results, and it is excluded from the config
      * fingerprint for the same reason.
      */
     std::uint64_t checkpointEveryCycles = 0;
 
     /**
-     * With a staged checkpoint sink installed, every Nth capture is a
-     * full snapshot that re-bases the delta chain; the captures in
-     * between are dirty-page deltas against their predecessor. 1
-     * disables deltas entirely (every capture full). Like
+     * With a checkpoint sink installed, every Nth capture is a full
+     * snapshot that re-bases the delta chain; the captures in between
+     * are dirty-page deltas against their predecessor. 1 disables
+     * deltas entirely: every capture is full and no delta epoch is
+     * opened, so no dirty state is tracked. Like
      * checkpointEveryCycles this is an operational knob — it changes
      * what is persisted, never what is computed — and is excluded
      * from the config fingerprint.

@@ -305,20 +305,8 @@ Machine::reset(const MachineConfig &config)
     _recoveries.clear();
     _deadDeclared.clear();
     _membershipViolation.clear();
-    _checkpointSink = nullptr;
-    _stagedSink = nullptr;
-    endDeltaEpoch();
-    _deltaEpochOpen = false;
-    _deltasDisabled = false;
-    _forceFullNext = false;
-    _checkpointSeq = 0;
-    _chainBaseGen = 0;
-    _lastCheckpointGen = 0;
+    setStagedCheckpointSink(nullptr);
     _restoredChainGen = 0;
-    _checkpointsFull = 0;
-    _checkpointsDelta = 0;
-    _checkpointDegradations = 0;
-    _checkpointDegradation.clear();
     _syncRecords.clear();
     _syncRecordsDropped = 0;
     _invalidationsSent = 0;
@@ -727,22 +715,13 @@ Machine::run(ShardWindowDriver *driver)
             break;
         }
 
-        if (_config.checkpointEveryCycles != 0 &&
-            (_checkpointSink || _stagedSink) &&
+        if (_config.checkpointEveryCycles != 0 && _stagedSink &&
             _now % _config.checkpointEveryCycles == 0) {
             // Loop bottom is the one cut point at which re-entering
             // run() at the loop top replays the remainder exactly:
             // the restored machine re-derives _active and proceeds
             // from cycle _now as if nothing had happened.
-            if (_stagedSink) {
-                takeStagedCheckpoint(_now /
-                                     _config.checkpointEveryCycles);
-            } else if (!_checkpointSink(
-                           _now, saveState(_now /
-                                           _config
-                                               .checkpointEveryCycles))) {
-                _checkpointSink = nullptr;
-            }
+            takeStagedCheckpoint(_now / _config.checkpointEveryCycles);
         }
     }
 
@@ -1179,11 +1158,37 @@ syncTrailWellFormed(const std::vector<SyncRecord> &records,
     return true;
 }
 
+/**
+ * What sets the two snapshot kinds apart on the wire: the ids of the
+ * four sections whose payload differs between a full snapshot and a
+ * delta, the names their corruption diagnostics use, and the noun the
+ * kind's other diagnostics use. Each kind's decoder rejects the other
+ * kind's ids as unknown.
+ */
+struct SnapshotKind
+{
+    snapshot::SectionId core, memory, bus, caches;
+    const char *coreName, *memoryName, *busName, *cachesName;
+    const char *noun;
+};
+
+constexpr SnapshotKind fullKind{
+    snapshot::SectionId::MachineCore, snapshot::SectionId::Memory,
+    snapshot::SectionId::Bus,         snapshot::SectionId::Caches,
+    "machine-core", "memory", "bus", "caches", "snapshot"};
+
+constexpr SnapshotKind deltaKind{
+    snapshot::SectionId::CoreDelta, snapshot::SectionId::MemoryDelta,
+    snapshot::SectionId::BusDelta,  snapshot::SectionId::CacheDelta,
+    "core-delta", "memory-delta", "bus-delta", "cache-delta",
+    "delta snapshot"};
+
 } // namespace
 
 std::vector<snapshot::Section>
-Machine::buildFullSections() const
+Machine::buildSections(bool delta) const
 {
+    const SnapshotKind &kind = delta ? deltaKind : fullKind;
     std::vector<snapshot::Section> sections;
     auto add = [&sections](snapshot::SectionId id,
                            snapshot::Encoder &&e) {
@@ -1192,12 +1197,31 @@ Machine::buildFullSections() const
         s.payload = std::move(e).take();
         sections.push_back(std::move(s));
     };
+    // Memory, bus and caches have a delta codec that writes only what
+    // the open epoch dirtied; every other component is re-encoded
+    // absolutely in both kinds (the network's state is a handful of
+    // words per processor — no delta form pays for itself).
+    auto encode = [delta](const auto &component, snapshot::Encoder &e) {
+        if (delta)
+            component.encodeDeltaState(e);
+        else
+            component.encodeState(e);
+    };
 
     {
+        // The scalars and small per-processor vectors are cheap enough
+        // to re-encode absolutely; the two unbounded collections —
+        // sync records and sharer masks — are encoded incrementally in
+        // a delta. Records before _epochSyncPatchFrom were closed
+        // (immutable) when the epoch began; apply truncates to the
+        // patch point and re-appends the rest.
+        const std::size_t patch_from = delta ? _epochSyncPatchFrom : 0;
         snapshot::Encoder e;
+        // The record tail dominates the payload; pre-size for it so
+        // the encode is one allocation instead of a realloc ladder.
         std::size_t record_bytes = 0;
-        for (const SyncRecord &r : _syncRecords)
-            record_bytes += 16 + 10 * r.members.size();
+        for (std::size_t k = patch_from; k < _syncRecords.size(); ++k)
+            record_bytes += 16 + 10 * _syncRecords[k].members.size();
         e.reserve(record_bytes + 512);
         e.u64(_now);
         e.boolVec(_fenced);
@@ -1217,148 +1241,46 @@ Machine::buildFullSections() const
         for (std::size_t v : _openSyncRecord)
             e.u64(v);
         e.u64(_syncRecordsDropped);
+        if (delta)
+            e.u64(patch_from);
         e.u64(_syncRecords.size());
-        for (const SyncRecord &r : _syncRecords)
-            encodeSyncRecord(e, r);
-        e.str(_membershipViolation);
-        e.u64(_invalidationsSent);
-        e.u64(_invalidationsAvoided);
-        // Sharer masks, sparse: most lines are never touched.
-        e.u64(_lineSharers.size());
-        std::uint64_t nonzero = 0;
-        for (std::uint64_t mask : _lineSharers)
-            if (mask != 0)
-                ++nonzero;
-        e.u64(nonzero);
-        for (std::size_t i = 0; i < _lineSharers.size(); ++i) {
-            if (_lineSharers[i] != 0) {
-                e.u64(i);
-                e.u64(_lineSharers[i]);
-            }
-        }
-        add(snapshot::SectionId::MachineCore, std::move(e));
-    }
-    {
-        snapshot::Encoder e;
-        _memory->encodeState(e);
-        add(snapshot::SectionId::Memory, std::move(e));
-    }
-    {
-        snapshot::Encoder e;
-        _bus->encodeState(e);
-        add(snapshot::SectionId::Bus, std::move(e));
-    }
-    {
-        snapshot::Encoder e;
-        _network->encodeState(e);
-        add(snapshot::SectionId::Network, std::move(e));
-    }
-    {
-        snapshot::Encoder e;
-        e.u64(_caches.size());
-        for (const auto &cache : _caches)
-            cache->encodeState(e);
-        add(snapshot::SectionId::Caches, std::move(e));
-    }
-    {
-        snapshot::Encoder e;
-        e.u64(_processors.size());
-        for (const auto &proc : _processors)
-            proc->encodeState(e);
-        add(snapshot::SectionId::Processors, std::move(e));
-    }
-    if (_injector) {
-        snapshot::Encoder e;
-        _injector->encodeState(e);
-        add(snapshot::SectionId::Injector, std::move(e));
-    }
-    if (_watchdog) {
-        snapshot::Encoder e;
-        _watchdog->encodeState(e);
-        add(snapshot::SectionId::Watchdog, std::move(e));
-    }
-    return sections;
-}
-
-std::vector<snapshot::Section>
-Machine::buildDeltaSections() const
-{
-    std::vector<snapshot::Section> sections;
-    auto add = [&sections](snapshot::SectionId id,
-                           snapshot::Encoder &&e) {
-        snapshot::Section s;
-        s.id = static_cast<std::uint32_t>(id);
-        s.payload = std::move(e).take();
-        sections.push_back(std::move(s));
-    };
-
-    {
-        // Core delta: the scalars and small per-processor vectors are
-        // cheap enough to re-encode absolutely; the two unbounded
-        // collections — sync records and sharer masks — are encoded
-        // incrementally. Records before _epochSyncPatchFrom were
-        // closed (immutable) when the epoch began; apply truncates to
-        // the patch point and re-appends the rest.
-        snapshot::Encoder e;
-        // The record tail dominates the payload; pre-size for it so
-        // the encode is one allocation instead of a realloc ladder.
-        std::size_t tail_bytes = 0;
-        for (std::size_t k = _epochSyncPatchFrom;
-             k < _syncRecords.size(); ++k)
-            tail_bytes += 16 + 10 * _syncRecords[k].members.size();
-        e.reserve(tail_bytes + 512);
-        e.u64(_now);
-        e.boolVec(_fenced);
-        e.u64(_deadDeclared.size());
-        for (int d : _deadDeclared)
-            e.i64(d);
-        e.u64(_recoveries.size());
-        for (const RecoveryEvent &r : _recoveries) {
-            e.u64(r.cycle);
-            e.i64(r.deadProc);
-            e.u64(r.survivors.size());
-            for (int s : r.survivors)
-                e.i64(s);
-        }
-        e.u64Vec(_lastArrival);
-        e.u64(_openSyncRecord.size());
-        for (std::size_t v : _openSyncRecord)
-            e.u64(v);
-        e.u64(_syncRecordsDropped);
-        e.u64(_epochSyncPatchFrom);
-        e.u64(_syncRecords.size());
-        for (std::size_t k = _epochSyncPatchFrom;
-             k < _syncRecords.size(); ++k)
+        for (std::size_t k = patch_from; k < _syncRecords.size(); ++k)
             encodeSyncRecord(e, _syncRecords[k]);
         e.str(_membershipViolation);
         e.u64(_invalidationsSent);
         e.u64(_invalidationsAvoided);
-        // Sharer masks: absolute masks of the lines mutated this
-        // epoch (a mask never returns to zero during a run, so this
-        // patch set is complete).
-        std::vector<std::size_t> lines(_epochSharerLines);
-        std::sort(lines.begin(), lines.end());
+        // Sharer masks, sparse: a full capture lists every nonzero
+        // line (most are never touched), a delta the absolute masks of
+        // the lines mutated this epoch (a mask never returns to zero
+        // during a run, so that patch set is complete).
+        std::vector<std::size_t> lines;
+        if (delta) {
+            lines = _epochSharerLines;
+            std::sort(lines.begin(), lines.end());
+        } else {
+            for (std::size_t i = 0; i < _lineSharers.size(); ++i)
+                if (_lineSharers[i] != 0)
+                    lines.push_back(i);
+        }
         e.u64(_lineSharers.size());
         e.u64(lines.size());
         for (std::size_t line : lines) {
             e.u64(line);
             e.u64(_lineSharers[line]);
         }
-        add(snapshot::SectionId::CoreDelta, std::move(e));
+        add(kind.core, std::move(e));
     }
     {
         snapshot::Encoder e;
-        _memory->encodeDeltaState(e);
-        add(snapshot::SectionId::MemoryDelta, std::move(e));
+        encode(*_memory, e);
+        add(kind.memory, std::move(e));
     }
     {
         snapshot::Encoder e;
-        _bus->encodeDeltaState(e);
-        add(snapshot::SectionId::BusDelta, std::move(e));
+        encode(*_bus, e);
+        add(kind.bus, std::move(e));
     }
     {
-        // The network's state is a handful of words per processor —
-        // no delta form pays for itself.
         snapshot::Encoder e;
         _network->encodeState(e);
         add(snapshot::SectionId::Network, std::move(e));
@@ -1367,8 +1289,8 @@ Machine::buildDeltaSections() const
         snapshot::Encoder e;
         e.u64(_caches.size());
         for (const auto &cache : _caches)
-            cache->encodeDeltaState(e);
-        add(snapshot::SectionId::CacheDelta, std::move(e));
+            encode(*cache, e);
+        add(kind.caches, std::move(e));
     }
     {
         snapshot::Encoder e;
@@ -1427,7 +1349,6 @@ void
 Machine::setStagedCheckpointSink(StagedCheckpointSink sink)
 {
     _stagedSink = std::move(sink);
-    _checkpointSink = nullptr;
     endDeltaEpoch();
     _deltaEpochOpen = false;
     _deltasDisabled = false;
@@ -1463,13 +1384,15 @@ Machine::takeStagedCheckpoint(std::uint64_t generation)
         header.baseFull = generation;
         header.prev = generation;
     }
-    std::vector<snapshot::Section> sections =
-        delta ? buildDeltaSections() : buildFullSections();
+    std::vector<snapshot::Section> sections = buildSections(delta);
 
     // Roll the epoch over *after* capturing: the next delta describes
-    // everything mutated from this capture on.
-    beginDeltaEpoch();
-    _deltaEpochOpen = true;
+    // everything mutated from this capture on. Every capture re-bases
+    // at a period of 1, so no delta ever needs the dirty sets.
+    if (rebase > 1) {
+        beginDeltaEpoch();
+        _deltaEpochOpen = true;
+    }
     ++_checkpointSeq;
     if (delta) {
         ++_checkpointsDelta;
@@ -1509,12 +1432,26 @@ Machine::saveState(std::uint64_t generation) const
     header.generation = generation;
     header.baseFull = generation;
     header.prev = generation;
-    return snapshot::assemble(header, buildFullSections());
+    return snapshot::assemble(header, buildSections(false));
 }
 
 bool
 Machine::restoreState(const std::vector<std::uint8_t> &bytes,
                       std::string &error)
+{
+    return decodeSnapshot(bytes, false, error);
+}
+
+bool
+Machine::applyDeltaState(const std::vector<std::uint8_t> &bytes,
+                         std::string &error)
+{
+    return decodeSnapshot(bytes, true, error);
+}
+
+bool
+Machine::decodeSnapshot(const std::vector<std::uint8_t> &bytes,
+                        bool delta, std::string &error)
 {
     if (_trace) {
         error = "cannot restore while barrier-state tracing is enabled";
@@ -1532,7 +1469,7 @@ Machine::restoreState(const std::vector<std::uint8_t> &bytes,
     std::vector<snapshot::Section> sections;
     if (!snapshot::disassemble(bytes, header, sections, error))
         return false;
-    if (header.isDelta()) {
+    if (!delta && header.isDelta()) {
         std::ostringstream oss;
         oss << "snapshot generation " << header.generation
             << " is a delta (base " << header.baseFull
@@ -1540,177 +1477,14 @@ Machine::restoreState(const std::vector<std::uint8_t> &bytes,
         error = oss.str();
         return false;
     }
-    if (header.configFingerprint != configFingerprint()) {
-        std::ostringstream oss;
-        oss << "config fingerprint mismatch: snapshot "
-            << header.configFingerprint << ", this machine "
-            << configFingerprint()
-            << " (different config, programs or fault plan)";
-        error = oss.str();
-        return false;
-    }
-
-    auto fail = [&error](const char *what) {
-        error = std::string("corrupt ") + what + " section";
-        return false;
-    };
-
-    bool saw_core = false, saw_memory = false, saw_bus = false;
-    bool saw_network = false, saw_caches = false, saw_procs = false;
-    for (const snapshot::Section &s : sections) {
-        snapshot::Decoder d(s.payload);
-        switch (static_cast<snapshot::SectionId>(s.id)) {
-          case snapshot::SectionId::MachineCore: {
-            _now = d.u64();
-            d.boolVec(_fenced);
-            _deadDeclared.clear();
-            const std::uint64_t dead = d.u64();
-            for (std::uint64_t k = 0; k < dead && d.ok(); ++k)
-                _deadDeclared.push_back(static_cast<int>(d.i64()));
-            _recoveries.clear();
-            const std::uint64_t recoveries = d.u64();
-            for (std::uint64_t k = 0; k < recoveries && d.ok(); ++k) {
-                RecoveryEvent r;
-                r.cycle = d.u64();
-                r.deadProc = static_cast<int>(d.i64());
-                const std::uint64_t survivors = d.u64();
-                for (std::uint64_t i = 0; i < survivors && d.ok(); ++i)
-                    r.survivors.push_back(static_cast<int>(d.i64()));
-                _recoveries.push_back(std::move(r));
-            }
-            d.u64Vec(_lastArrival);
-            _openSyncRecord.clear();
-            const std::uint64_t open = d.u64();
-            for (std::uint64_t k = 0; k < open && d.ok(); ++k)
-                _openSyncRecord.push_back(
-                    static_cast<std::size_t>(d.u64()));
-            _syncRecordsDropped = d.u64();
-            _syncRecords.clear();
-            const std::uint64_t records = d.u64();
-            for (std::uint64_t k = 0; k < records && d.ok(); ++k) {
-                SyncRecord r;
-                decodeSyncRecord(d, r);
-                _syncRecords.push_back(std::move(r));
-            }
-            _membershipViolation = d.str();
-            _invalidationsSent = d.u64();
-            _invalidationsAvoided = d.u64();
-            const std::uint64_t sharer_lines = d.u64();
-            if (!d.ok() || sharer_lines != _lineSharers.size())
-                return fail("machine-core");
-            std::fill(_lineSharers.begin(), _lineSharers.end(), 0);
-            const std::uint64_t nonzero = d.u64();
-            for (std::uint64_t k = 0; k < nonzero && d.ok(); ++k) {
-                const std::uint64_t idx = d.u64();
-                const std::uint64_t mask = d.u64();
-                if (idx >= _lineSharers.size())
-                    return fail("machine-core");
-                _lineSharers[static_cast<std::size_t>(idx)] = mask;
-            }
-            const std::size_t n =
-                static_cast<std::size_t>(numProcessors());
-            if (!d.done() || _fenced.size() != n ||
-                _lastArrival.size() != n || _openSyncRecord.size() != n ||
-                !syncTrailWellFormed(_syncRecords, _openSyncRecord, n))
-                return fail("machine-core");
-            saw_core = true;
-            break;
-          }
-          case snapshot::SectionId::Memory:
-            if (!_memory->decodeState(d) || !d.done())
-                return fail("memory");
-            saw_memory = true;
-            break;
-          case snapshot::SectionId::Bus:
-            if (!_bus->decodeState(d) || !d.done())
-                return fail("bus");
-            saw_bus = true;
-            break;
-          case snapshot::SectionId::Network:
-            if (!_network->decodeState(d) || !d.done())
-                return fail("network");
-            saw_network = true;
-            break;
-          case snapshot::SectionId::Caches: {
-            if (d.u64() != _caches.size())
-                return fail("caches");
-            for (auto &cache : _caches)
-                if (!cache->decodeState(d))
-                    return fail("caches");
-            if (!d.done())
-                return fail("caches");
-            saw_caches = true;
-            break;
-          }
-          case snapshot::SectionId::Processors: {
-            if (d.u64() != _processors.size())
-                return fail("processors");
-            for (auto &proc : _processors)
-                if (!proc->decodeState(d))
-                    return fail("processors");
-            if (!d.done())
-                return fail("processors");
-            saw_procs = true;
-            break;
-          }
-          case snapshot::SectionId::Injector:
-            if (!_injector)
-                return fail("injector (machine has no fault plan)");
-            if (!_injector->decodeState(d) || !d.done())
-                return fail("injector");
-            break;
-          case snapshot::SectionId::Watchdog:
-            if (!_watchdog)
-                return fail("watchdog (machine has no watchdog)");
-            if (!_watchdog->decodeState(d) || !d.done())
-                return fail("watchdog");
-            break;
-          default: {
-            std::ostringstream oss;
-            oss << "unknown snapshot section id " << s.id;
-            error = oss.str();
-            return false;
-          }
-        }
-    }
-    if (!saw_core || !saw_memory || !saw_bus || !saw_network ||
-        !saw_caches || !saw_procs) {
-        error = "snapshot is missing a required section";
-        return false;
-    }
-    if (_now != header.cycle) {
-        error = "snapshot header cycle disagrees with machine core";
-        return false;
-    }
-    _sharersUnbounded = false;
-    _restoredChainGen = header.generation;
-    return true;
-}
-
-bool
-Machine::applyDeltaState(const std::vector<std::uint8_t> &bytes,
-                         std::string &error)
-{
-    if (_trace) {
-        error = "cannot restore while barrier-state tracing is enabled";
-        return false;
-    }
-    _sharersUnbounded = true;
-    endDeltaEpoch();
-    _deltaEpochOpen = false;
-
-    snapshot::SnapshotHeader header;
-    std::vector<snapshot::Section> sections;
-    if (!snapshot::disassemble(bytes, header, sections, error))
-        return false;
-    if (!header.isDelta()) {
+    if (delta && !header.isDelta()) {
         std::ostringstream oss;
         oss << "snapshot generation " << header.generation
             << " is a full snapshot, not a delta";
         error = oss.str();
         return false;
     }
-    if (header.prev != _restoredChainGen) {
+    if (delta && header.prev != _restoredChainGen) {
         // Defense in depth below the store's chain walk: a delta only
         // patches the exact state its predecessor left behind, so an
         // out-of-order (or chainless) apply must fail loudly rather
@@ -1733,17 +1507,22 @@ Machine::applyDeltaState(const std::vector<std::uint8_t> &bytes,
         return false;
     }
 
+    const SnapshotKind &kind = delta ? deltaKind : fullKind;
     auto fail = [&error](const char *what) {
         error = std::string("corrupt ") + what + " section";
         return false;
+    };
+    auto decode = [delta](auto &component, snapshot::Decoder &d) {
+        return delta ? component.decodeDeltaState(d)
+                     : component.decodeState(d);
     };
 
     bool saw_core = false, saw_memory = false, saw_bus = false;
     bool saw_network = false, saw_caches = false, saw_procs = false;
     for (const snapshot::Section &s : sections) {
         snapshot::Decoder d(s.payload);
-        switch (static_cast<snapshot::SectionId>(s.id)) {
-          case snapshot::SectionId::CoreDelta: {
+        const auto id = static_cast<snapshot::SectionId>(s.id);
+        if (id == kind.core) {
             _now = d.u64();
             d.boolVec(_fenced);
             _deadDeclared.clear();
@@ -1767,27 +1546,31 @@ Machine::applyDeltaState(const std::vector<std::uint8_t> &bytes,
             for (std::uint64_t k = 0; k < open && d.ok(); ++k)
                 _openSyncRecord.push_back(
                     static_cast<std::size_t>(d.u64()));
-            // Rotation first: the source may have pruned old records
-            // since its predecessor was captured; drop the same count
-            // from the front so the vector indices below line up.
+            // A full snapshot carries the whole record trail. A delta
+            // patches it: rotation first — the source may have pruned
+            // old records since its predecessor was captured, so drop
+            // the same count from the front and the vector indices
+            // line up — then truncate to the first record that was
+            // still open when the delta's epoch began and re-append
+            // everything from there.
+            std::uint64_t patch_from = 0;
             const std::uint64_t dropped = d.u64();
-            if (!d.ok() || dropped < _syncRecordsDropped ||
-                dropped - _syncRecordsDropped > _syncRecords.size())
-                return fail("core-delta");
-            _syncRecords.erase(
-                _syncRecords.begin(),
-                _syncRecords.begin() +
-                    static_cast<std::ptrdiff_t>(dropped -
-                                                _syncRecordsDropped));
+            if (delta) {
+                if (!d.ok() || dropped < _syncRecordsDropped ||
+                    dropped - _syncRecordsDropped > _syncRecords.size())
+                    return fail(kind.coreName);
+                _syncRecords.erase(
+                    _syncRecords.begin(),
+                    _syncRecords.begin() +
+                        static_cast<std::ptrdiff_t>(
+                            dropped - _syncRecordsDropped));
+                patch_from = d.u64();
+            }
             _syncRecordsDropped = dropped;
-            // Sync-record patch: truncate to the first record that
-            // was still open when the delta's epoch began, then
-            // re-append everything from there.
-            const std::uint64_t patch_from = d.u64();
             const std::uint64_t records = d.u64();
             if (!d.ok() || patch_from > _syncRecords.size() ||
                 patch_from > records)
-                return fail("core-delta");
+                return fail(kind.coreName);
             _syncRecords.resize(static_cast<std::size_t>(patch_from));
             for (std::uint64_t k = patch_from; k < records && d.ok();
                  ++k) {
@@ -1796,19 +1579,23 @@ Machine::applyDeltaState(const std::vector<std::uint8_t> &bytes,
                 _syncRecords.push_back(std::move(r));
             }
             if (_syncRecords.size() != records)
-                return fail("core-delta");
+                return fail(kind.coreName);
             _membershipViolation = d.str();
             _invalidationsSent = d.u64();
             _invalidationsAvoided = d.u64();
             const std::uint64_t sharer_lines = d.u64();
             if (!d.ok() || sharer_lines != _lineSharers.size())
-                return fail("core-delta");
-            const std::uint64_t patched = d.u64();
-            for (std::uint64_t k = 0; k < patched && d.ok(); ++k) {
+                return fail(kind.coreName);
+            // A full snapshot lists every nonzero mask; a delta only
+            // the masks its epoch changed.
+            if (!delta)
+                std::fill(_lineSharers.begin(), _lineSharers.end(), 0);
+            const std::uint64_t listed = d.u64();
+            for (std::uint64_t k = 0; k < listed && d.ok(); ++k) {
                 const std::uint64_t idx = d.u64();
                 const std::uint64_t mask = d.u64();
                 if (idx >= _lineSharers.size())
-                    return fail("core-delta");
+                    return fail(kind.coreName);
                 _lineSharers[static_cast<std::size_t>(idx)] = mask;
             }
             const std::size_t n =
@@ -1816,37 +1603,30 @@ Machine::applyDeltaState(const std::vector<std::uint8_t> &bytes,
             if (!d.done() || _fenced.size() != n ||
                 _lastArrival.size() != n || _openSyncRecord.size() != n ||
                 !syncTrailWellFormed(_syncRecords, _openSyncRecord, n))
-                return fail("core-delta");
+                return fail(kind.coreName);
             saw_core = true;
-            break;
-          }
-          case snapshot::SectionId::MemoryDelta:
-            if (!_memory->decodeDeltaState(d) || !d.done())
-                return fail("memory-delta");
+        } else if (id == kind.memory) {
+            if (!decode(*_memory, d) || !d.done())
+                return fail(kind.memoryName);
             saw_memory = true;
-            break;
-          case snapshot::SectionId::BusDelta:
-            if (!_bus->decodeDeltaState(d) || !d.done())
-                return fail("bus-delta");
+        } else if (id == kind.bus) {
+            if (!decode(*_bus, d) || !d.done())
+                return fail(kind.busName);
             saw_bus = true;
-            break;
-          case snapshot::SectionId::Network:
+        } else if (id == snapshot::SectionId::Network) {
             if (!_network->decodeState(d) || !d.done())
                 return fail("network");
             saw_network = true;
-            break;
-          case snapshot::SectionId::CacheDelta: {
+        } else if (id == kind.caches) {
             if (d.u64() != _caches.size())
-                return fail("cache-delta");
+                return fail(kind.cachesName);
             for (auto &cache : _caches)
-                if (!cache->decodeDeltaState(d))
-                    return fail("cache-delta");
+                if (!decode(*cache, d))
+                    return fail(kind.cachesName);
             if (!d.done())
-                return fail("cache-delta");
+                return fail(kind.cachesName);
             saw_caches = true;
-            break;
-          }
-          case snapshot::SectionId::Processors: {
+        } else if (id == snapshot::SectionId::Processors) {
             if (d.u64() != _processors.size())
                 return fail("processors");
             for (auto &proc : _processors)
@@ -1855,35 +1635,33 @@ Machine::applyDeltaState(const std::vector<std::uint8_t> &bytes,
             if (!d.done())
                 return fail("processors");
             saw_procs = true;
-            break;
-          }
-          case snapshot::SectionId::Injector:
+        } else if (id == snapshot::SectionId::Injector) {
             if (!_injector)
                 return fail("injector (machine has no fault plan)");
             if (!_injector->decodeState(d) || !d.done())
                 return fail("injector");
-            break;
-          case snapshot::SectionId::Watchdog:
+        } else if (id == snapshot::SectionId::Watchdog) {
             if (!_watchdog)
                 return fail("watchdog (machine has no watchdog)");
             if (!_watchdog->decodeState(d) || !d.done())
                 return fail("watchdog");
-            break;
-          default: {
+        } else {
             std::ostringstream oss;
-            oss << "unknown delta snapshot section id " << s.id;
+            oss << "unknown " << kind.noun << " section id " << s.id;
             error = oss.str();
             return false;
-          }
         }
     }
     if (!saw_core || !saw_memory || !saw_bus || !saw_network ||
         !saw_caches || !saw_procs) {
-        error = "delta snapshot is missing a required section";
+        error = std::string(kind.noun) +
+                " is missing a required section";
         return false;
     }
     if (_now != header.cycle) {
-        error = "delta header cycle disagrees with machine core";
+        error = delta ? "delta header cycle disagrees with machine core"
+                      : "snapshot header cycle disagrees with machine "
+                        "core";
         return false;
     }
     _sharersUnbounded = false;

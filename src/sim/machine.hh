@@ -89,7 +89,7 @@ struct RunResult
     /** First fault-safety (membership) violation, or empty. */
     std::string membershipViolation;
 
-    // Staged-checkpoint accounting (all zero unless a staged sink was
+    // Checkpoint accounting (all zero unless a checkpoint sink was
     // installed). Deliberately excluded from the resume-equivalence
     // comparison: checkpointing must never change what a run computes,
     // only how its state is persisted.
@@ -262,24 +262,6 @@ class Machine : public ExecutionObserver
     void onCross(int p, std::uint64_t cycle) override;
 
     /**
-     * Receives each periodic checkpoint: the cycle it was captured at
-     * and the assembled snapshot bytes. Returning false uninstalls the
-     * sink (no further checkpoints are taken this run).
-     */
-    using CheckpointSink =
-        std::function<bool(std::uint64_t cycle,
-                           const std::vector<std::uint8_t> &bytes)>;
-
-    /** Install the checkpoint sink (see MachineConfig::
-     * checkpointEveryCycles). Must precede run(). Uninstalls any
-     * staged sink. */
-    void setCheckpointSink(CheckpointSink sink)
-    {
-        _checkpointSink = std::move(sink);
-        _stagedSink = nullptr;
-    }
-
-    /**
      * Staged-checkpoint handshake: the sink's verdict on a capture it
      * was handed, returned synchronously while the capture may still
      * be queued for background persistence.
@@ -314,10 +296,14 @@ class Machine : public ExecutionObserver
         std::vector<snapshot::Section> sections)>;
 
     /**
-     * Install the staged (delta-capable) checkpoint sink and reset the
-     * chain bookkeeping: the first capture is full, then deltas until
-     * MachineConfig::checkpointRebaseEvery forces a re-base.
-     * Uninstalls any legacy byte sink. Must precede run().
+     * Install the checkpoint sink (see MachineConfig::
+     * checkpointEveryCycles), or uninstall it with nullptr, and reset
+     * the chain bookkeeping: the first capture is full, then deltas
+     * until MachineConfig::checkpointRebaseEvery forces a re-base. At
+     * a re-base period of 1 every capture is a full snapshot and no
+     * dirty state is tracked; a sink that assembles each capture and
+     * saves it inline is then a synchronous full-snapshot checkpointer
+     * (fbsim --checkpoint-sync). Must precede run().
      */
     void setStagedCheckpointSink(StagedCheckpointSink sink);
 
@@ -426,11 +412,13 @@ class Machine : public ExecutionObserver
     /** First membership violation observed (survives save/restore). */
     std::string _membershipViolation;
 
-    /** Build the full-snapshot section list (saveState's body). */
-    std::vector<snapshot::Section> buildFullSections() const;
+    /** Build the section list of a full snapshot, or with @p delta
+     * of a delta against the open epoch. */
+    std::vector<snapshot::Section> buildSections(bool delta) const;
 
-    /** Build the delta section list for the open epoch. */
-    std::vector<snapshot::Section> buildDeltaSections() const;
+    /** Body of restoreState() and, with @p delta, applyDeltaState(). */
+    bool decodeSnapshot(const std::vector<std::uint8_t> &bytes,
+                        bool delta, std::string &error);
 
     /** Open (or roll over) the delta epoch on every component. */
     void beginDeltaEpoch();
@@ -451,9 +439,6 @@ class Machine : public ExecutionObserver
     }
 
     /** Periodic checkpoint consumer (null = checkpointing off). */
-    CheckpointSink _checkpointSink;
-
-    /** Staged (delta-capable) checkpoint consumer. */
     StagedCheckpointSink _stagedSink;
 
     // Delta-chain bookkeeping for the staged sink (reset at install).

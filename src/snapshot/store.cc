@@ -444,48 +444,6 @@ SnapshotStore::newestGeneration() const
 }
 
 bool
-SnapshotStore::loadLatest(std::vector<std::uint8_t> &bytes,
-                          std::uint64_t &generation,
-                          std::vector<std::string> &diagnostics) const
-{
-    auto entries = list();
-    for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
-        std::vector<std::uint8_t> candidate;
-        std::string error;
-        if (!readFile(it->second, candidate, error)) {
-            diagnostics.push_back(it->second + ": " + error);
-            continue;
-        }
-        SnapshotHeader header;
-        std::vector<Section> sections;
-        if (!disassemble(candidate, header, sections, error)) {
-            diagnostics.push_back(it->second + ": " + error);
-            continue;
-        }
-        if (header.generation != it->first) {
-            std::ostringstream oss;
-            oss << it->second << ": stale snapshot (embedded generation "
-                << header.generation << " != filename generation "
-                << it->first << ")";
-            diagnostics.push_back(oss.str());
-            continue;
-        }
-        bytes = std::move(candidate);
-        generation = it->first;
-        return true;
-    }
-    if (entries.empty())
-        diagnostics.push_back("no snapshots in '" + _dir + "'");
-    else {
-        std::ostringstream oss;
-        oss << "no valid snapshot in '" << _dir << "' ("
-            << entries.size() << " candidate(s), all rejected)";
-        diagnostics.push_back(oss.str());
-    }
-    return false;
-}
-
-bool
 SnapshotStore::loadLatestChain(std::vector<std::vector<std::uint8_t>> &chain,
                                std::uint64_t &generation,
                                std::vector<std::string> &diagnostics) const

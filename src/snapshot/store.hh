@@ -16,8 +16,8 @@
  * generations newest-first, skipping any file that fails
  * magic/version/CRC validation or whose embedded generation disagrees
  * with its filename (a stale or copied-over snapshot), and returns
- * the newest valid one — or, for delta stores, the newest generation
- * whose *entire* chain back to its full base validates.
+ * the newest generation whose *entire* chain back to its full base
+ * validates — for a store of full snapshots, the newest valid file.
  *
  * An injectable I/O-fault shim covers the syscalls a real disk can
  * betray: a failing write, a short write that the kernel nonetheless
@@ -105,24 +105,11 @@ class SnapshotStore
               const std::vector<std::uint8_t> &bytes, std::string &error);
 
     /**
-     * Load the newest snapshot that passes full validation
-     * (magic, version, header CRC, every section CRC, and
-     * embedded-generation == filename-generation). Corrupt or torn
-     * candidates are skipped; their diagnostics are appended to
-     * @p diagnostics. Returns false only when no valid snapshot
-     * exists at all; @p generation is written only on success.
-     *
-     * Note: a delta snapshot can be "valid" here yet unrestorable on
-     * its own — machine restore paths should use loadLatestChain().
-     */
-    bool loadLatest(std::vector<std::uint8_t> &bytes,
-                    std::uint64_t &generation,
-                    std::vector<std::string> &diagnostics) const;
-
-    /**
      * Load the newest *restorable* state: the newest generation whose
      * full delta chain — the file itself, every predecessor named by
-     * its `prev` links, and the full base — validates. On success
+     * its `prev` links, and the full base — passes full validation
+     * (magic, version, header CRC, every section CRC, and
+     * embedded-generation == filename-generation). On success
      * @p chain holds the raw streams ordered base-first (a full-only
      * store yields a single-element chain) and @p generation the head
      * generation. A corrupt link anywhere disqualifies that head and

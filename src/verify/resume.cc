@@ -273,17 +273,21 @@ checkResumeEquivalence(const Scenario &sc, std::uint64_t k_seed,
     const std::uint64_t k = 1 + splitMix64(state) % span;
     rep.checkpointCycle = k;
 
-    // B: same run, checkpointing at period K; keep the first snapshot.
+    // B: same run, full checkpoints at period K; keep the first one.
     sim::MachineConfig cp_cfg = base_cfg;
     cp_cfg.checkpointEveryCycles = k;
+    cp_cfg.checkpointRebaseEvery = 1;
     MachineSlot cpSlot(cp_cfg, pool);
     sim::Machine &checkpointed = *cpSlot;
     load(checkpointed);
-    std::vector<std::uint8_t> snapshot;
-    checkpointed.setCheckpointSink(
-        [&snapshot](std::uint64_t, const std::vector<std::uint8_t> &b) {
-            snapshot = b;
-            return false;  // one snapshot is enough
+    std::vector<std::uint8_t> first;
+    checkpointed.setStagedCheckpointSink(
+        [&first](snapshot::SnapshotHeader header,
+                 std::vector<snapshot::Section> sections) {
+            first = snapshot::assemble(header, sections);
+            sim::Machine::CheckpointAck ack;
+            ack.keep = false;  // one snapshot is enough
+            return ack;
         });
     const sim::RunResult rb = checkpointed.run();
 
@@ -293,7 +297,7 @@ checkResumeEquivalence(const Scenario &sc, std::uint64_t k_seed,
         !why.empty())
         return failed("checkpointing run diverged: " + why);
 
-    rep.snapshotTaken = !snapshot.empty();
+    rep.snapshotTaken = !first.empty();
     if (!rep.snapshotTaken) {
         // Run ended (timeout) before cycle K; A-vs-B equivalence is
         // all that can be checked.
@@ -305,7 +309,7 @@ checkResumeEquivalence(const Scenario &sc, std::uint64_t k_seed,
     sim::Machine &resumed = *resumeSlot;
     load(resumed);
     std::string restore_error;
-    if (!resumed.restoreState(snapshot, restore_error))
+    if (!resumed.restoreState(first, restore_error))
         return failed("restore failed: " + restore_error);
     const sim::RunResult rc = resumed.run();
 

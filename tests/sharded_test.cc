@@ -25,6 +25,7 @@
 #include "exec/sharded_machine.hh"
 #include "harness.hh"
 #include "sim/machine.hh"
+#include "snapshot/format.hh"
 #include "verify/generator.hh"
 #include "verify/scenario.hh"
 
@@ -230,18 +231,21 @@ TEST(Sharded, CheckpointRestoreCrossesShardSettings)
         cfg_cap.shardCount = 4;
         cfg_cap.shardQuantum = 256;
         cfg_cap.checkpointEveryCycles = base.result.cycles / 2;
+        cfg_cap.checkpointRebaseEvery = 1;
         sim::Machine capture(cfg_cap);
         for (int p = 0; p < sc.procs(); ++p)
             capture.loadProgram(p,
                                 programs[static_cast<std::size_t>(p)]);
         std::vector<std::uint8_t> snap;
         std::uint64_t snap_cycle = 0;
-        capture.setCheckpointSink(
-            [&](std::uint64_t cycle,
-                const std::vector<std::uint8_t> &bytes) {
-                snap = bytes;
-                snap_cycle = cycle;
-                return false; // first checkpoint only
+        capture.setStagedCheckpointSink(
+            [&](snapshot::SnapshotHeader header,
+                std::vector<snapshot::Section> sections) {
+                snap = snapshot::assemble(header, sections);
+                snap_cycle = header.cycle;
+                sim::Machine::CheckpointAck ack;
+                ack.keep = false; // first checkpoint only
+                return ack;
             });
         exec::ShardedMachine sharded(capture);
         sim::RunResult captured = sharded.run();

@@ -235,13 +235,32 @@ freshDir(const std::string &name)
     return dir;
 }
 
+/** A full snapshot: it anchors its own one-element chain. */
 std::vector<std::uint8_t>
 snapshotBytes(std::uint64_t cycle, std::uint64_t generation)
 {
     SnapshotHeader h;
     h.cycle = cycle;
     h.generation = generation;
+    h.baseFull = generation;
+    h.prev = generation;
     return assemble(h, sampleSections());
+}
+
+/**
+ * loadLatestChain() on a store of full snapshots: the newest intact
+ * file, which must come back as a chain of one.
+ */
+bool
+loadNewestFull(const SnapshotStore &store, std::vector<std::uint8_t> &bytes,
+               std::uint64_t &generation, std::vector<std::string> &diags)
+{
+    std::vector<std::vector<std::uint8_t>> chain;
+    if (!store.loadLatestChain(chain, generation, diags))
+        return false;
+    EXPECT_EQ(chain.size(), 1u);
+    bytes = chain.front();
+    return true;
 }
 
 TEST(Store, SaveLoadAndPrune)
@@ -260,7 +279,7 @@ TEST(Store, SaveLoadAndPrune)
     std::vector<std::uint8_t> bytes;
     std::uint64_t gen = 0;
     std::vector<std::string> diags;
-    ASSERT_TRUE(store.loadLatest(bytes, gen, diags));
+    ASSERT_TRUE(loadNewestFull(store, bytes, gen, diags));
     EXPECT_EQ(gen, 5u);
     EXPECT_TRUE(diags.empty());
     EXPECT_EQ(bytes, snapshotBytes(500, 5));
@@ -272,7 +291,7 @@ TEST(Store, EmptyStoreLoadFails)
     std::vector<std::uint8_t> bytes;
     std::uint64_t gen = 0;
     std::vector<std::string> diags;
-    EXPECT_FALSE(store.loadLatest(bytes, gen, diags));
+    EXPECT_FALSE(loadNewestFull(store, bytes, gen, diags));
 }
 
 TEST(Store, WalkBackPastCorruptNewest)
@@ -305,7 +324,7 @@ TEST(Store, WalkBackPastCorruptNewest)
     std::vector<std::uint8_t> bytes;
     std::uint64_t gen = 0;
     std::vector<std::string> diags;
-    ASSERT_TRUE(store.loadLatest(bytes, gen, diags));
+    ASSERT_TRUE(loadNewestFull(store, bytes, gen, diags));
     EXPECT_EQ(gen, 1u);
     EXPECT_EQ(bytes, snapshotBytes(10, 1));
     EXPECT_EQ(diags.size(), 2u);  // one skip message per bad generation
@@ -327,7 +346,7 @@ TEST(Store, RejectsGenerationMismatch)
 
     std::uint64_t gen = 0;
     std::vector<std::string> diags;
-    ASSERT_TRUE(store.loadLatest(bytes, gen, diags));
+    ASSERT_TRUE(loadNewestFull(store, bytes, gen, diags));
     EXPECT_EQ(gen, 1u);  // the stale copy was skipped, not trusted
     EXPECT_FALSE(diags.empty());
 }
@@ -359,7 +378,7 @@ TEST(Corruption, EachKindIsNeverSilentlyRestored)
             // The newest generation is damaged; the loader must fall
             // back to the intact older one, never return the damaged
             // bytes.
-            ASSERT_TRUE(store.loadLatest(bytes, gen, diags))
+            ASSERT_TRUE(loadNewestFull(store, bytes, gen, diags))
                 << fault::snapshotCorruptionName(kind);
             EXPECT_EQ(gen, 1u)
                 << fault::snapshotCorruptionName(kind) << " seed "
@@ -381,7 +400,7 @@ TEST(Corruption, SingleGenerationStaleFallsToNothing)
     std::vector<std::uint8_t> bytes;
     std::uint64_t gen = 0;
     std::vector<std::string> diags;
-    EXPECT_FALSE(store.loadLatest(bytes, gen, diags));
+    EXPECT_FALSE(loadNewestFull(store, bytes, gen, diags));
 }
 
 // --- machine save/restore --------------------------------------------
@@ -448,14 +467,14 @@ TEST(MachineSnapshot, CheckpointingPerturbsNothing)
 
     auto cfg2 = cfg;
     cfg2.checkpointEveryCycles = 64;
+    cfg2.checkpointRebaseEvery = 1;
     Machine chk(cfg2);
     loadLoop(chk, 4);
     int snapshots = 0;
-    chk.setCheckpointSink(
-        [&](std::uint64_t, const std::vector<std::uint8_t> &) {
-            ++snapshots;
-            return true;
-        });
+    chk.setStagedCheckpointSink([&](SnapshotHeader, std::vector<Section>) {
+        ++snapshots;
+        return Machine::CheckpointAck{};
+    });
     auto chkResult = chk.run();
 
     EXPECT_GT(snapshots, 0);
@@ -478,13 +497,14 @@ TEST(MachineSnapshot, RestoreContinuesBitIdentically)
 
     auto cfg2 = cfg;
     cfg2.checkpointEveryCycles = 100;
+    cfg2.checkpointRebaseEvery = 1;
     Machine chk(cfg2);
     loadLoop(chk, 4);
     std::vector<std::vector<std::uint8_t>> snaps;
-    chk.setCheckpointSink(
-        [&](std::uint64_t, const std::vector<std::uint8_t> &bytes) {
-            snaps.push_back(bytes);
-            return true;
+    chk.setStagedCheckpointSink(
+        [&](SnapshotHeader h, std::vector<Section> secs) {
+            snaps.push_back(assemble(h, secs));
+            return Machine::CheckpointAck{};
         });
     chk.run();
     ASSERT_GE(snaps.size(), 2u);
@@ -582,14 +602,16 @@ TEST(MachineSnapshot, SinkReturningFalseUninstalls)
 {
     auto cfg = machineConfig(2);
     cfg.checkpointEveryCycles = 32;
+    cfg.checkpointRebaseEvery = 1;
     Machine m(cfg);
     loadLoop(m, 2);
     int calls = 0;
-    m.setCheckpointSink(
-        [&](std::uint64_t, const std::vector<std::uint8_t> &) {
-            ++calls;
-            return false;  // simulated persistence failure
-        });
+    m.setStagedCheckpointSink([&](SnapshotHeader, std::vector<Section>) {
+        ++calls;
+        Machine::CheckpointAck ack;
+        ack.keep = false;  // simulated persistence failure
+        return ack;
+    });
     m.run();
     EXPECT_EQ(calls, 1);
 }
@@ -705,13 +727,14 @@ TEST(MachineSnapshot, WideHierarchicalMachineRestoresBitIdentically)
 
     auto cfg2 = cfg;
     cfg2.checkpointEveryCycles = refResult.cycles / 4;
+    cfg2.checkpointRebaseEvery = 1;
     Machine chk(cfg2);
     loadAll(chk);
     std::vector<std::vector<std::uint8_t>> snaps;
-    chk.setCheckpointSink(
-        [&](std::uint64_t, const std::vector<std::uint8_t> &bytes) {
-            snaps.push_back(bytes);
-            return true;
+    chk.setStagedCheckpointSink(
+        [&](SnapshotHeader h, std::vector<Section> secs) {
+            snaps.push_back(assemble(h, secs));
+            return Machine::CheckpointAck{};
         });
     chk.run();
     ASSERT_GE(snaps.size(), 2u);
@@ -964,14 +987,9 @@ TEST(Store, AllGenerationsCorruptIsCleanNotFound)
     std::vector<std::uint8_t> bytes{0xaa};
     std::uint64_t gen = 777;
     std::vector<std::string> diags;
-    EXPECT_FALSE(store.loadLatest(bytes, gen, diags));
+    EXPECT_FALSE(loadNewestFull(store, bytes, gen, diags));
     EXPECT_EQ(gen, 777u);
     EXPECT_GE(diags.size(), 3u);  // one rejection per candidate
-
-    std::vector<std::vector<std::uint8_t>> chain;
-    diags.clear();
-    EXPECT_FALSE(store.loadLatestChain(chain, gen, diags));
-    EXPECT_EQ(gen, 777u);
 }
 
 // --- I/O-fault shim ---------------------------------------------------
@@ -1011,7 +1029,7 @@ TEST(IoShim, ShortWriteTornFileIsSkippedOnLoad)
     std::vector<std::uint8_t> bytes;
     std::uint64_t gen = 0;
     std::vector<std::string> diags;
-    ASSERT_TRUE(store.loadLatest(bytes, gen, diags));
+    ASSERT_TRUE(loadNewestFull(store, bytes, gen, diags));
     EXPECT_EQ(gen, 1u);  // torn generation 2 skipped, never trusted
     EXPECT_EQ(bytes, snapshotBytes(10, 1));
     EXPECT_FALSE(diags.empty());
@@ -1689,6 +1707,82 @@ TEST(MachineSnapshot, DeltaSnapshotRequiresItsChain)
     // on the base (skipping delta 1) must fail, not corrupt.
     ASSERT_TRUE(victim.restoreState(captures[0], err)) << err;
     EXPECT_FALSE(victim.applyDeltaState(captures[2], err));
+}
+
+TEST(MachineSnapshot, SectionOfTheOtherKindNeverRestores)
+{
+    Machine probe(machineConfig(4));
+    loadLoop(probe, 4);
+    const auto probeResult = probe.run();
+
+    // The first full capture and the delta taken on top of it.
+    auto cfg = machineConfig(4);
+    cfg.checkpointEveryCycles = probeResult.cycles / 6;
+    cfg.checkpointRebaseEvery = 2;
+    Machine m(cfg);
+    loadLoop(m, 4);
+    std::vector<std::vector<std::uint8_t>> captures;
+    m.setStagedCheckpointSink(
+        [&captures](SnapshotHeader h, std::vector<Section> secs) {
+            captures.push_back(assemble(h, secs));
+            return Machine::CheckpointAck{};
+        });
+    m.run();
+    ASSERT_GE(captures.size(), 2u);
+    SnapshotHeader head;
+    std::string err;
+    ASSERT_TRUE(peekHeader(captures[1], head, err)) << err;
+    ASSERT_TRUE(head.isDelta());
+
+    // Rename section @p from to @p to and re-assemble with valid CRCs:
+    // the container passes every integrity check, so only the
+    // machine's section dispatch can object.
+    auto renamed = [](const std::vector<std::uint8_t> &bytes,
+                      SectionId from, SectionId to) {
+        SnapshotHeader header;
+        std::vector<Section> sections;
+        std::string why;
+        EXPECT_TRUE(disassemble(bytes, header, sections, why)) << why;
+        int hits = 0;
+        for (Section &s : sections) {
+            if (s.id == static_cast<std::uint32_t>(from)) {
+                s.id = static_cast<std::uint32_t>(to);
+                ++hits;
+            }
+        }
+        EXPECT_EQ(hits, 1);
+        return assemble(header, sections);
+    };
+
+    // Each kind decodes only its own id of the four sections whose
+    // payload differs between a full snapshot and a delta; the twin
+    // id from the other kind is unknown to it, never decoded with the
+    // wrong codec.
+    const std::pair<SectionId, SectionId> twins[] = {
+        {SectionId::MachineCore, SectionId::CoreDelta},
+        {SectionId::Memory, SectionId::MemoryDelta},
+        {SectionId::Bus, SectionId::BusDelta},
+        {SectionId::Caches, SectionId::CacheDelta},
+    };
+    for (const auto &[full, delta] : twins) {
+        const auto full_id = static_cast<std::uint32_t>(full);
+        const auto delta_id = static_cast<std::uint32_t>(delta);
+
+        Machine victim(machineConfig(4));
+        loadLoop(victim, 4);
+        EXPECT_FALSE(
+            victim.restoreState(renamed(captures[0], full, delta), err));
+        EXPECT_EQ(err, "unknown snapshot section id " +
+                            std::to_string(delta_id));
+
+        Machine base(machineConfig(4));
+        loadLoop(base, 4);
+        ASSERT_TRUE(base.restoreState(captures[0], err)) << err;
+        EXPECT_FALSE(
+            base.applyDeltaState(renamed(captures[1], delta, full), err));
+        EXPECT_EQ(err, "unknown delta snapshot section id " +
+                            std::to_string(full_id));
+    }
 }
 
 // --- resume-equivalence sweep ----------------------------------------

@@ -277,8 +277,8 @@ parseArgs(int argc, char **argv)
  * The sweep cursor lives in exec::svc::CursorJournal now (the PR 4
  * journal promoted for the campaign service, with bounded growth via
  * crash-safe compaction); the header binding a journal to its
- * campaign renders in fuzz_campaign.hh, shared with fbcampd so the
- * two tools resume each other's journals.
+ * campaign renders in fuzz_campaign.hh, shared by every front-end so
+ * they resume each other's journals.
  */
 bool
 openCursor(const Options &opt, exec::svc::CursorJournal &journal)

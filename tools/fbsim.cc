@@ -66,8 +66,9 @@
  *   --checkpoint-rebase N
  *                        take a full (re-basing) snapshot every Nth
  *                        capture (default 8; 1 = full snapshots only)
- *   --checkpoint-sync    persist every capture synchronously as a
- *                        full snapshot (the pre-delta behaviour)
+ *   --checkpoint-sync    re-base on every capture and persist each
+ *                        full snapshot inline, on the simulation
+ *                        thread (overrides --checkpoint-rebase)
  *   --io-fault SPEC      inject I/O faults into the checkpoint store:
  *                        comma-separated failwrite:N / shortwrite:N /
  *                        failfsync:N (1-based Nth call), plus an
@@ -477,7 +478,8 @@ main(int argc, char **argv)
         cfg.faultPlan = &plan;
     cfg.watchdog = opt.watchdog;
     cfg.checkpointEveryCycles = opt.checkpointEvery;
-    cfg.checkpointRebaseEvery = opt.checkpointRebase;
+    cfg.checkpointRebaseEvery =
+        opt.checkpointSync ? 1 : opt.checkpointRebase;
 
     // Machine construction is a lambda so the restore walk-back can
     // rebuild a pristine machine after a failed restoreState (which
@@ -623,28 +625,25 @@ main(int argc, char **argv)
                     return ack;
                 });
         } else {
-            machinePtr->setCheckpointSink(
-                [&checkpointStore](
-                    std::uint64_t cycle,
-                    const std::vector<std::uint8_t> &bytes) {
-                    // The generation encoded by Machine::saveState is
-                    // cycle / checkpointEveryCycles; recover it from
-                    // the snapshot header so store filenames always
-                    // agree with the embedded generation.
-                    snapshot::SnapshotHeader header;
+            machinePtr->setStagedCheckpointSink(
+                [&store = *checkpointStore](
+                    snapshot::SnapshotHeader header,
+                    std::vector<snapshot::Section> sections) {
+                    sim::Machine::CheckpointAck ack;
                     std::string err;
-                    if (!snapshot::peekHeader(bytes, header, err) ||
-                        !checkpointStore->save(header.generation, bytes,
-                                               err)) {
+                    if (!store.save(header.generation,
+                                    snapshot::assemble(header, sections),
+                                    err)) {
                         std::fprintf(
                             stderr,
                             "fbsim: checkpoint at cycle %llu "
                             "failed: %s (disabling checkpoints)\n",
-                            static_cast<unsigned long long>(cycle),
+                            static_cast<unsigned long long>(
+                                header.cycle),
                             err.c_str());
-                        return false;
+                        ack.keep = false;
                     }
-                    return true;
+                    return ack;
                 });
         }
     }

@@ -1,20 +1,20 @@
 /**
  * @file
- * Shared campaign plumbing for the fuzz front-ends (fbfuzz, fbcampd).
+ * Campaign plumbing for fbfuzz's front-ends.
  *
- * Both tools drive the same differential-fuzz workload — fbfuzz
- * in-process (sequential or --jobs threads, plus the --workers
- * service front-end), fbcampd as the standalone campaign-service
- * daemon. Everything that defines what a campaign *is* lives here so
- * the two stay byte-compatible by construction:
+ * fbfuzz drives one differential-fuzz workload in-process (sequential
+ * or --jobs threads) or through the crash-tolerant campaign service
+ * (--workers, whose workers are forked fbfuzz processes). Everything
+ * that defines what a campaign *is* lives here so every front-end
+ * stays byte-compatible by construction:
  *
  *   - CampaignConfig: the parameters that select the scenario matrix
  *   - cursorHeader(): the journal header binding a --cursor file to
- *     its campaign; identical text means an fbcampd journal resumes
- *     under fbfuzz and vice versa
+ *     its campaign; identical text means a journal written under
+ *     --workers resumes under --jobs and vice versa
  *   - runScenario(): one seed through the differential matrix
  *   - describeFailure() / quarantineArtifact(): the printed blocks,
- *     which CI diffs across tools and worker counts
+ *     which CI diffs across worker counts
  */
 
 #ifndef FB_TOOLS_FUZZ_CAMPAIGN_HH
