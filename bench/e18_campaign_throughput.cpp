@@ -14,9 +14,9 @@
  *            spawns N threads and joins them (a slow scenario stalls
  *            its whole batch), and every scenario re-assembles its
  *            programs and constructs a fresh machine;
- *   engine — exec::runCampaign on the work-stealing pool with
- *            per-worker machine recycling and shared program
- *            interning.
+ *   engine — exec::runCampaign: self-scheduling workers (one shared
+ *            item counter, no batch barrier) with per-worker
+ *            machine recycling and shared program interning.
  *
  * Every scenario's result fingerprint (RunResult counters + final
  * registers) must be identical across the legacy loop, the engine at
@@ -156,7 +156,7 @@ runLegacy(const std::vector<verify::Scenario> &scenarios, int jobs,
     return std::chrono::duration<double>(stop - start).count();
 }
 
-/** The campaign engine: work-stealing pool, per-worker machine
+/** The campaign engine: self-scheduling workers, per-worker machine
  * recycling, shared program interning, seed-ordered delivery. */
 double
 runEngine(const std::vector<verify::Scenario> &scenarios, int jobs,
@@ -284,15 +284,14 @@ main(int argc, char **argv)
     std::printf("campaign-scenarios-per-sec-engine: %.0f\n", engineRate);
     std::printf("campaign-scenarios-per-sec-legacy: %.0f\n", legacyRate);
     std::printf("campaign-speedup: %.2f\n", legacySecs / engineSecs);
-    std::printf("campaign-tasks-stolen: %llu\n",
-                static_cast<unsigned long long>(stats.tasksStolen));
     std::printf("total-sim-cycles: %llu\n",
                 static_cast<unsigned long long>(gSimCycles.load()));
     printClaim("campaign throughput on small scenarios is setup-bound, "
                "not simulation-bound: recycling fully-constructed "
                "machines, interning generated programs, and replacing "
-               "the per-batch join barrier with a work-stealing pool "
-               "multiplies scenarios/sec without changing any "
-               "scenario's result fingerprint");
+               "the per-batch join barrier with self-scheduling "
+               "workers (one shared item counter) multiplies "
+               "scenarios/sec without changing any scenario's result "
+               "fingerprint");
     return 0;
 }

@@ -1,14 +1,14 @@
 #include "exec/campaign.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <exception>
-#include <memory>
 #include <sstream>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "exec/ordered_emitter.hh"
-#include "exec/pool.hh"
 #include "support/logging.hh"
 
 namespace fb::exec
@@ -60,68 +60,50 @@ runCampaign(std::uint64_t count, const CampaignOptions &options,
     ProgramCache &programs =
         options.programs != nullptr ? *options.programs : localPrograms;
 
-    if (options.jobs == 1 || count <= 1) {
-        // Inline fast path: same machine reuse and interning, no
-        // threads. The parallel path produces the same stream by
-        // construction (pure runner + ordered delivery).
-        MachinePool localMachines;
-        MachinePool &machines = options.machines != nullptr
-                                    ? *options.machines
-                                    : localMachines;
-        const std::uint64_t builds0 = machines.builds();
-        const std::uint64_t reuses0 = machines.reuses();
-        const std::uint64_t misses0 = programs.misses();
-        const std::uint64_t hits0 = programs.hits();
-        WorkerContext ctx{0, machines, programs};
-        for (std::uint64_t i = 0; i < count; ++i) {
-            ItemResult r = runGuardedItem(run, i, ctx);
-            if (r.failed)
-                ++stats.failures;
-            consume(i, r);
-        }
-        stats.machinesBuilt = machines.builds() - builds0;
-        stats.machinesReused = machines.reuses() - reuses0;
-        stats.programsAssembled = programs.misses() - misses0;
-        stats.programsInterned = programs.hits() - hits0;
-        return stats;
-    }
-
-    const int jobs = static_cast<int>(
+    // Worker 0 is the calling thread and borrows the caller's machine
+    // pool when one is given; every helper thread owns a private one.
+    const auto jobs = static_cast<std::size_t>(
         std::min<std::uint64_t>(static_cast<std::uint64_t>(options.jobs),
-                                count));
-    std::vector<std::unique_ptr<MachinePool>> pools;
-    pools.reserve(static_cast<std::size_t>(jobs));
-    for (int j = 0; j < jobs; ++j)
-        pools.push_back(std::make_unique<MachinePool>());
+                                std::max<std::uint64_t>(count, 1)));
+    MachinePool localMachines;
+    MachinePool &machines0 =
+        options.machines != nullptr ? *options.machines : localMachines;
+    std::vector<MachinePool> helperMachines(jobs - 1);
 
+    const std::uint64_t builds0 = machines0.builds();
+    const std::uint64_t reuses0 = machines0.reuses();
     const std::uint64_t misses0 = programs.misses();
     const std::uint64_t hits0 = programs.hits();
-    OrderedEmitter emitter(consume);
+
+    // Self-scheduling: each worker claims the next index with one
+    // fetch-and-add until the range is exhausted.
+    std::atomic<std::uint64_t> next{0};
     std::atomic<std::uint64_t> failures{0};
-    std::uint64_t steals = 0;
-    {
-        WorkStealingPool pool(jobs, options.queueCapacity);
-        for (std::uint64_t i = 0; i < count; ++i) {
-            pool.submit([&, i](int worker) {
-                WorkerContext ctx{
-                    worker,
-                    *pools[static_cast<std::size_t>(worker)],
-                    programs};
-                ItemResult r = runGuardedItem(run, i, ctx);
-                if (r.failed)
-                    failures.fetch_add(1, std::memory_order_relaxed);
-                emitter.deliver(i, std::move(r));
-            });
+    OrderedEmitter emitter(consume);
+    auto work = [&](int worker, MachinePool &machines) {
+        WorkerContext ctx{worker, machines, programs};
+        for (std::uint64_t i = next++; i < count; i = next++) {
+            ItemResult r = runGuardedItem(run, i, ctx);
+            if (r.failed)
+                failures.fetch_add(1, std::memory_order_relaxed);
+            emitter.deliver(i, std::move(r));
         }
-        pool.drain();
-        steals = pool.steals();
-    }
+    };
+    {
+        std::vector<std::jthread> helpers;
+        for (std::size_t w = 1; w < jobs; ++w)
+            helpers.emplace_back([&, w] {
+                work(static_cast<int>(w), helperMachines[w - 1]);
+            });
+        work(0, machines0);
+    } // joins the helpers
 
     stats.failures = failures.load();
-    stats.tasksStolen = steals;
-    for (const auto &p : pools) {
-        stats.machinesBuilt += p->builds();
-        stats.machinesReused += p->reuses();
+    stats.machinesBuilt = machines0.builds() - builds0;
+    stats.machinesReused = machines0.reuses() - reuses0;
+    for (const MachinePool &p : helperMachines) {
+        stats.machinesBuilt += p.builds();
+        stats.machinesReused += p.reuses();
     }
     stats.programsAssembled = programs.misses() - misses0;
     stats.programsInterned = programs.hits() - hits0;

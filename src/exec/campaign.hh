@@ -1,8 +1,8 @@
 /**
  * @file
  * Deterministic campaign execution engine: runs a seed-indexed
- * family of scenario tasks across a work-stealing pool with
- * machine reuse, delivering results in seed order.
+ * family of scenario tasks on self-scheduling workers with machine
+ * reuse, delivering results in seed order.
  */
 
 #ifndef FB_EXEC_CAMPAIGN_HH
@@ -35,10 +35,8 @@ struct WorkerContext
 /** Knobs for one campaign. */
 struct CampaignOptions
 {
-    /** Worker threads. 1 = run inline on the calling thread. */
+    /** Workers; the calling thread is worker 0, so 1 = no threads. */
     int jobs = 1;
-    /** Bound on queued tasks per worker (submission backpressure). */
-    std::size_t queueCapacity = 64;
     /**
      * Optional externally-owned program cache. When set, interned
      * programs survive across runCampaign calls — a resident service
@@ -47,10 +45,10 @@ struct CampaignOptions
      */
     ProgramCache *programs = nullptr;
     /**
-     * Optional externally-owned machine pool for the inline
-     * (jobs == 1) path, so recycled machines also survive across
-     * calls. Ignored when jobs > 1 — parallel workers need private
-     * pools (MachinePool is deliberately not thread-safe).
+     * Optional externally-owned machine pool for worker 0 (the
+     * calling thread) at any job count, so its recycled machines
+     * survive across calls. Workers 1..jobs-1 get private per-call
+     * pools: MachinePool is deliberately not thread-safe.
      */
     MachinePool *machines = nullptr;
 };
@@ -100,6 +98,8 @@ struct CampaignStats
     std::uint64_t machinesReused = 0;
     std::uint64_t programsAssembled = 0;
     std::uint64_t programsInterned = 0;
+    /** Always 0: workers claim items from one shared counter, so
+     * there is no queue to steal from. Kept for report readers. */
     std::uint64_t tasksStolen = 0;
 };
 
@@ -117,12 +117,14 @@ ItemResult runGuardedItem(const ItemRunner &run, std::uint64_t index,
 
 /**
  * Run items [0, count) and deliver each result to @p consume in
- * ascending index order. With jobs == 1 everything runs inline on
- * the calling thread; with jobs > 1 the items fan out across a
- * work-stealing pool and an ordered emitter holds out-of-order
- * completions until the gap fills. Because the runner is a pure
- * function of the index and delivery order is fixed, the consumer
- * observes a byte-identical stream at any job count.
+ * ascending index order. Workers self-schedule: the calling thread
+ * (worker 0) and jobs - 1 helper threads each claim the next index
+ * from one shared counter until none is left, so nothing is queued
+ * ahead and a slow item delays only its own worker. An ordered
+ * emitter holds out-of-order completions until the gap fills.
+ * Because the runner is a pure function of the index and delivery
+ * order is fixed, the consumer observes a byte-identical stream at
+ * any job count.
  */
 CampaignStats runCampaign(std::uint64_t count,
                           const CampaignOptions &options,

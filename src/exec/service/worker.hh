@@ -6,10 +6,11 @@
  * A worker is forked from the coordinator's process image, so it
  * executes the campaign's ItemRunner directly — no exec, no
  * serialization of the work itself, only of its results. Internally
- * each lease runs through the existing in-process campaign engine
- * (work-stealing pool when innerJobs > 1, plus a MachinePool and
- * ProgramCache that persist across leases), so the service composes
- * with — rather than replaces — the PR 5 execution engine.
+ * each lease runs through the in-process campaign engine
+ * (self-scheduling threads when innerJobs > 1; the worker's own
+ * thread keeps a MachinePool and ProgramCache that persist across
+ * leases), so the service composes with — rather than replaces — the
+ * in-process execution engine.
  */
 
 #ifndef FB_EXEC_SERVICE_WORKER_HH

@@ -13,11 +13,9 @@ ShardedMachine::ShardedMachine(sim::Machine &machine)
 {
     const sim::MachineConfig &cfg = machine.config();
     int shards = std::clamp(cfg.shardCount, 1, cfg.numProcessors);
-    // Tracing needs the loop body on every cycle and disables
-    // fast-forward, which the window logic is built on; a zero
-    // quantum is the documented "off" switch.
-    if (cfg.shardQuantum == 0 || cfg.traceBarrierStates ||
-        !cfg.fastForward)
+    // Windows ride on fast-forward; a zero quantum is the documented
+    // "off" switch.
+    if (cfg.shardQuantum == 0 || !cfg.fastForward)
         shards = 1;
     _shards = shards;
     if (_shards <= 1)

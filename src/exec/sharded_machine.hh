@@ -40,9 +40,9 @@ namespace fb::exec
  * Falls back to the plain sequential run() — spawning no threads at
  * all — whenever sharding cannot apply: shardCount <= 1, shardQuantum
  * == 0, more shards than processors are requested (the excess would
- * idle; the count is clamped), barrier-state tracing is on, or
- * fast-forward is off. The fallback produces the same bytes, so
- * callers never need to care which path ran.
+ * idle; the count is clamped), or fast-forward is off. The fallback
+ * produces the same bytes, so callers never need to care which path
+ * ran.
  *
  * The object is cheap and per-run: construct around a configured
  * machine (pooled machines work — shard fields are excluded from the

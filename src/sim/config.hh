@@ -189,7 +189,8 @@ struct MachineConfig
     fault::WatchdogConfig watchdog;
 
     /** Record per-cycle barrier states for the timeline renderer
-     * (costs memory proportional to cycles x processors). */
+     * (costs memory proportional to cycles x processors). Works in
+     * every execution mode and with checkpoint/restore. */
     bool traceBarrierStates = false;
 
     /**
@@ -201,8 +202,7 @@ struct MachineConfig
      * watchdog deadline), bulk-accounting the skipped wait cycles.
      * Off selects the per-cycle reference loop. All RunResult
      * counters stay bit-identical between the two; the differential
-     * verifier and the equivalence corpus cross-check them. Forced
-     * off when traceBarrierStates needs per-cycle records.
+     * verifier and the equivalence corpus cross-check them.
      */
     bool fastForward = true;
 

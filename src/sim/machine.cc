@@ -325,16 +325,14 @@ Machine::reset(const MachineConfig &config)
     }
 
 #if FB_RESET_CHECKS
-    if (!_trace) {
-        // The recycled machine must be observably indistinguishable
-        // from a fresh one — the whole machine-reuse invariant in one
-        // check. Snapshots encode only touched state, so a correctly
-        // reset machine produces a byte-identical stream.
-        Machine fresh(config);
-        FB_ASSERT(saveState(0) == fresh.saveState(0),
-                  "Machine::reset left reused state behind (snapshot "
-                  "differs from a freshly constructed machine)");
-    }
+    // The recycled machine must be observably indistinguishable from
+    // a fresh one — the whole machine-reuse invariant in one check.
+    // Snapshots encode only touched state, so a correctly reset
+    // machine produces a byte-identical stream.
+    Machine fresh(config);
+    FB_ASSERT(saveState(0) == fresh.saveState(0),
+              "Machine::reset left reused state behind (snapshot "
+              "differs from a freshly constructed machine)");
 #endif
 }
 
@@ -421,12 +419,11 @@ Machine::run(ShardWindowDriver *driver)
     constexpr std::uint64_t never =
         std::numeric_limits<std::uint64_t>::max();
 
-    // One body serves two loops. With fast-forward off, or under
-    // per-cycle barrier-state tracing (one record per cycle), it is
-    // the per-cycle reference loop: the oracle every other mode is
-    // checked against. Otherwise the block at the bottom of the body
-    // makes it the event-and-window loop (INTERNALS section 14).
-    const bool fast_forward = _config.fastForward && !_trace;
+    // One body serves two loops. With fast-forward off it is the
+    // per-cycle reference loop: the oracle every other mode is checked
+    // against. Otherwise the block at the bottom of the body makes it
+    // the event-and-window loop (INTERNALS section 14).
+    const bool fast_forward = _config.fastForward;
 
     // Who runs a window's private ticks: the driver's shard threads at
     // the configured skew quantum (section 17), or, with the
@@ -583,7 +580,9 @@ Machine::run(ShardWindowDriver *driver)
                 _traceHalted.push_back(
                     _processors[static_cast<std::size_t>(p)]->halted());
             }
-            _trace->record(_traceStates, _traceHalted, delivered > 0);
+            // Skipped cycles repeat these symbols (BarrierTrace).
+            _trace->record(_now, _traceStates, _traceHalted,
+                           delivered > 0);
         }
 
         if (_watchdog) {
@@ -725,12 +724,14 @@ Machine::run(ShardWindowDriver *driver)
         }
     }
 
+    // A timed-out run's last cycles may have been skipped.
+    if (_trace)
+        _trace->extendTo(_now);
+
     // Epoch bookkeeping must not outlive the run: state mutated after
     // the last capture belongs to no checkpoint.
-    if (_deltaEpochOpen) {
+    if (_epochCoreTracking)
         endDeltaEpoch();
-        _deltaEpochOpen = false;
-    }
 
     result.cycles = _now;
     result.syncEvents = _network->syncEvents();
@@ -1350,7 +1351,6 @@ Machine::setStagedCheckpointSink(StagedCheckpointSink sink)
 {
     _stagedSink = std::move(sink);
     endDeltaEpoch();
-    _deltaEpochOpen = false;
     _deltasDisabled = false;
     _forceFullNext = false;
     _checkpointSeq = 0;
@@ -1365,11 +1365,9 @@ Machine::setStagedCheckpointSink(StagedCheckpointSink sink)
 void
 Machine::takeStagedCheckpoint(std::uint64_t generation)
 {
-    FB_ASSERT(!_trace, "checkpointing is unsupported while tracing "
-                       "barrier states (the trace is not serialized)");
     const std::uint32_t rebase =
         std::max<std::uint32_t>(1, _config.checkpointRebaseEvery);
-    const bool delta = _deltaEpochOpen && !_deltasDisabled &&
+    const bool delta = _epochCoreTracking && !_deltasDisabled &&
                        !_forceFullNext &&
                        _checkpointSeq % rebase != 0;
 
@@ -1389,10 +1387,8 @@ Machine::takeStagedCheckpoint(std::uint64_t generation)
     // Roll the epoch over *after* capturing: the next delta describes
     // everything mutated from this capture on. Every capture re-bases
     // at a period of 1, so no delta ever needs the dirty sets.
-    if (rebase > 1) {
+    if (rebase > 1)
         beginDeltaEpoch();
-        _deltaEpochOpen = true;
-    }
     ++_checkpointSeq;
     if (delta) {
         ++_checkpointsDelta;
@@ -1416,16 +1412,12 @@ Machine::takeStagedCheckpoint(std::uint64_t generation)
     if (!ack.keep) {
         _stagedSink = nullptr;
         endDeltaEpoch();
-        _deltaEpochOpen = false;
     }
 }
 
 std::vector<std::uint8_t>
 Machine::saveState(std::uint64_t generation) const
 {
-    FB_ASSERT(!_trace, "checkpointing is unsupported while tracing "
-                       "barrier states (the trace is not serialized)");
-
     snapshot::SnapshotHeader header;
     header.configFingerprint = configFingerprint();
     header.cycle = _now;
@@ -1453,17 +1445,12 @@ bool
 Machine::decodeSnapshot(const std::vector<std::uint8_t> &bytes,
                         bool delta, std::string &error)
 {
-    if (_trace) {
-        error = "cannot restore while barrier-state tracing is enabled";
-        return false;
-    }
     // A partial restore can leave sharer masks the access stats no
     // longer cover; make the next reset() take the full clear unless
     // this restore completes.
     _sharersUnbounded = true;
     // Whatever epoch was open described the pre-restore state.
     endDeltaEpoch();
-    _deltaEpochOpen = false;
 
     snapshot::SnapshotHeader header;
     std::vector<snapshot::Section> sections;

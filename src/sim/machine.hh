@@ -219,12 +219,12 @@ class Machine : public ExecutionObserver
     /**
      * Run until every processor halts, a deadlock is detected, or the
      * cycle guard trips. Two paths, byte-identical in every result:
-     * the per-cycle reference loop (MachineConfig::fastForward off,
-     * or barrier-state tracing on) and the event-and-window loop. In
-     * the latter, each iteration opens a window in which processors
-     * run ahead of the global clock through provably private ticks —
-     * on the @p driver's shard threads (exec::ShardedMachine, bounded
-     * by MachineConfig::shardQuantum), inline with
+     * the per-cycle reference loop (MachineConfig::fastForward off)
+     * and the event-and-window loop. In the latter, each iteration
+     * opens a window in which processors run ahead of the global
+     * clock through provably private ticks — on the @p driver's
+     * shard threads (exec::ShardedMachine, bounded by
+     * MachineConfig::shardQuantum), inline with
      * MachineConfig::predecode, or not at all (plain fast-forward) —
      * then jumps the clock to the next interesting cycle.
      */
@@ -322,7 +322,7 @@ class Machine : public ExecutionObserver
      * Capture the complete mutable machine state as a validated
      * snapshot byte stream (see src/snapshot/). @p generation is
      * embedded in the header for the store's stale-snapshot check.
-     * Not supported while barrier-state tracing is enabled.
+     * The barrier-state trace is not part of the snapshot.
      */
     std::vector<std::uint8_t>
     saveState(std::uint64_t generation = 0) const;
@@ -442,7 +442,6 @@ class Machine : public ExecutionObserver
     StagedCheckpointSink _stagedSink;
 
     // Delta-chain bookkeeping for the staged sink (reset at install).
-    bool _deltaEpochOpen = false;  ///< a capture opened an epoch
     bool _deltasDisabled = false;  ///< ladder: full snapshots only
     bool _forceFullNext = false;   ///< sink requested a re-base
     std::uint64_t _checkpointSeq = 0;     ///< captures since install
@@ -459,7 +458,7 @@ class Machine : public ExecutionObserver
     // record that was still open (mutable) when the epoch began —
     // records before it are immutable, so a delta only re-encodes
     // [_epochSyncPatchFrom, end).
-    bool _epochCoreTracking = false;
+    bool _epochCoreTracking = false;  ///< a capture opened an epoch
     std::vector<bool> _epochSharerDirty;
     std::vector<std::size_t> _epochSharerLines;
     std::size_t _epochSyncPatchFrom = 0;

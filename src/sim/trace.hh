@@ -22,6 +22,12 @@ namespace fb::sim
 
 /**
  * A compact per-cycle record of every processor's barrier state.
+ *
+ * The run loop records only the cycles it visits; a cycle it skips
+ * (fast-forward, or a window of private ticks) repeats the previous
+ * cycle's symbols. That is exact, because barrier states, halts and
+ * deliveries change only on cycles the loop body visits, so every
+ * execution mode yields the same rows as the per-cycle loop.
  */
 class BarrierTrace
 {
@@ -38,10 +44,20 @@ class BarrierTrace
     {
     }
 
-    /** Record one cycle's states. @p halted flags dead processors;
-     * @p sync_delivered marks cycles where a group synchronized. */
-    void record(const std::vector<barrier::BarrierState> &states,
+    /**
+     * Record the states at @p cycle, first repeating each row's last
+     * symbol over the cycles since the previous record. @p halted
+     * flags dead processors; @p sync_delivered marks cycles where a
+     * group synchronized. The first record fixes the trace's first
+     * cycle (non-zero for a run resumed from a snapshot); a record at
+     * an already recorded cycle rewinds the trace to it.
+     */
+    void record(std::uint64_t cycle,
+                const std::vector<barrier::BarrierState> &states,
                 const std::vector<bool> &halted, bool sync_delivered);
+
+    /** Repeat each row's last symbol up to (excluding) cycle @p end. */
+    void extendTo(std::uint64_t end);
 
     /** Number of recorded cycles. */
     std::size_t cycles() const { return _syncMarks.size(); }
@@ -62,7 +78,9 @@ class BarrierTrace
     static char worst(char a, char b);
 
     int _numProcessors;
-    /** _rows[p][cycle] = symbol. */
+    /** Cycle of the first record. */
+    std::uint64_t _first = 0;
+    /** _rows[p][cycle - _first] = symbol. */
     std::vector<std::string> _rows;
     std::vector<bool> _syncMarks;
 };

@@ -1,10 +1,11 @@
 /**
  * @file
  * Campaign execution engine tests (INTERNALS section 16): the
- * work-stealing pool, machine recycling, program interning, and the
- * engine's headline guarantee — a campaign's consumer-visible output
- * is byte-identical at any --jobs count, including campaigns that mix
- * fault plans and checkpoint/restore runs on recycled machines.
+ * self-scheduling workers, machine recycling, program interning, and
+ * the engine's headline guarantee — a campaign's consumer-visible
+ * output is byte-identical at any --jobs count, including campaigns
+ * that mix fault plans and checkpoint/restore runs on recycled
+ * machines.
  */
 
 #include <atomic>
@@ -19,7 +20,6 @@
 #include "exec/campaign.hh"
 #include "exec/machine_pool.hh"
 #include "exec/ordered_emitter.hh"
-#include "exec/pool.hh"
 #include "exec/program_cache.hh"
 #include "fault/plan.hh"
 #include "harness.hh"
@@ -280,31 +280,33 @@ TEST(Campaign, ProgramCacheInternsBySource)
               bad.get());
 }
 
-TEST(Campaign, WorkStealingPoolRunsAllTasks)
+TEST(Campaign, EveryItemRunsExactlyOnce)
 {
-    // Far more tasks than capacity: submission must backpressure, and
-    // every task must run exactly once across the workers.
-    constexpr int tasks = 1000;
-    std::vector<std::atomic<int>> ran(tasks);
+    // The emitter drops duplicate deliveries, so the consumer stream
+    // alone would hide an item that ran twice: count runner calls per
+    // index as well as checking the stream.
+    constexpr std::uint64_t items = 1000;
+    std::vector<std::atomic<int>> ran(items);
     for (auto &r : ran)
         r.store(0);
-    std::atomic<int> total{0};
-    {
-        exec::WorkStealingPool pool(4, 8);
-        for (int i = 0; i < tasks; ++i) {
-            pool.submit([&, i](int worker) {
-                EXPECT_GE(worker, 0);
-                EXPECT_LT(worker, 4);
-                ran[static_cast<std::size_t>(i)].fetch_add(1);
-                total.fetch_add(1);
-            });
-        }
-        pool.drain();
-        EXPECT_EQ(total.load(), tasks);
-    }
-    for (int i = 0; i < tasks; ++i)
-        EXPECT_EQ(ran[static_cast<std::size_t>(i)].load(), 1)
-            << "task " << i;
+    exec::CampaignOptions opt;
+    opt.jobs = 4;
+    std::uint64_t expected = 0;
+    exec::runCampaign(
+        items, opt,
+        [&](std::uint64_t i, exec::WorkerContext &ctx) {
+            EXPECT_GE(ctx.worker, 0);
+            EXPECT_LT(ctx.worker, 4);
+            ran[i].fetch_add(1);
+            return exec::ItemResult{};
+        },
+        [&](std::uint64_t i, const exec::ItemResult &) {
+            EXPECT_EQ(i, expected) << "consumer saw indices out of order";
+            ++expected;
+        });
+    EXPECT_EQ(expected, items);
+    for (std::uint64_t i = 0; i < items; ++i)
+        EXPECT_EQ(ran[i].load(), 1) << "item " << i;
 }
 
 // A runner that throws must surface as a failed item carrying the

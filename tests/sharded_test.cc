@@ -14,6 +14,7 @@
  * rendezvous (see .github/workflows/ci.yml).
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -325,6 +326,53 @@ TEST(Sharded, PoolLeasesCrossShardSettings)
     checkSharded(5, true, 4, 16, &pool, &cache);
 }
 
+/** The full-resolution barrier timeline of one traced run. */
+std::string
+traceOf(const verify::Scenario &sc,
+        const std::vector<isa::Program> &programs,
+        sim::MachineConfig cfg)
+{
+    cfg.traceBarrierStates = true;
+    sim::Machine m(cfg);
+    observeRun(sc, programs, m);
+    const sim::BarrierTrace *trace = m.trace();
+    if (trace == nullptr)
+        return "(no trace)";
+    return trace->render(std::max<std::size_t>(1, trace->cycles()));
+}
+
+// Tracing runs in every execution mode: the timeline, one column per
+// cycle, must match the per-cycle loop's under fast-forward, windows,
+// predecode off and shards, with and without fault plans.
+TEST(Sharded, TraceIdenticalAcrossModes)
+{
+    for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+        const bool with_faults = seed % 3 == 0;
+        verify::Scenario sc = verify::render(verify::randomSpec(seed));
+        if (with_faults)
+            attachFaults(sc, corpusFaultSeed(seed));
+        std::vector<isa::Program> programs;
+        ASSERT_TRUE(assemblePrograms(sc, programs)) << "seed " << seed;
+        const Knobs k = knobsFor(seed);
+        const std::string ctx = describeSeed(seed, with_faults, k);
+        const std::string reference =
+            traceOf(sc, programs, configFor(sc, k, false));
+        for (const bool ff : {false, true})
+            for (const bool predecode : {false, true})
+                for (const int shards : {1, 4}) {
+                    if (!ff && !predecode && shards == 1)
+                        continue;  // the reference itself
+                    EXPECT_EQ(traceOf(sc, programs,
+                                      configFor(sc, k, ff, predecode,
+                                                shards)),
+                              reference)
+                        << ctx << " ff=" << ff
+                        << " predecode=" << predecode
+                        << " shards=" << shards;
+                }
+    }
+}
+
 // The executor must fall back to the plain sequential core — zero
 // threads — whenever sharding cannot apply, and clamp the shard count
 // to the processor count.
@@ -346,10 +394,10 @@ TEST(Sharded, FallsBackWhenShardingCannotApply)
         EXPECT_EQ(exec::ShardedMachine(m).shards(), 1);
     }
     cfg.fastForward = true;
-    cfg.traceBarrierStates = true; // tracing needs per-cycle loop
+    cfg.traceBarrierStates = true; // tracing composes with sharding
     {
         sim::Machine m(cfg);
-        EXPECT_EQ(exec::ShardedMachine(m).shards(), 1);
+        EXPECT_EQ(exec::ShardedMachine(m).shards(), 2);
     }
     cfg.traceBarrierStates = false;
     {

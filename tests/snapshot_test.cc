@@ -598,6 +598,72 @@ TEST(MachineSnapshot, SyncRecordWindowSurvivesChainedRestore)
                 << "cpu" << p << " r" << r;
 }
 
+/** The per-processor rows of a full-resolution timeline. */
+std::vector<std::string>
+traceRows(const sim::BarrierTrace &trace)
+{
+    std::istringstream lines(trace.render(trace.cycles()));
+    std::vector<std::string> rows;
+    for (std::string line; std::getline(lines, line);) {
+        if (line.rfind("  cpu", 0) != 0)
+            continue;
+        const std::size_t open = line.find('|');
+        rows.push_back(line.substr(open + 1, line.size() - open - 2));
+    }
+    return rows;
+}
+
+TEST(MachineSnapshot, TracingComposesWithCheckpointAndRestore)
+{
+    // The trace is not serialized, so a traced checkpointing run must
+    // capture exactly the bytes an untraced one does.
+    auto cfg = machineConfig(4);
+    cfg.checkpointEveryCycles = 100;
+    cfg.checkpointRebaseEvery = 4;
+    auto captureAll = [&](bool traced, Machine &m) {
+        std::vector<std::vector<std::uint8_t>> snaps;
+        m.setStagedCheckpointSink(
+            [&](SnapshotHeader h, std::vector<Section> secs) {
+                snaps.push_back(assemble(h, secs));
+                return Machine::CheckpointAck{};
+            });
+        EXPECT_EQ(m.trace() != nullptr, traced);
+        m.run();
+        return snaps;
+    };
+    Machine plain(cfg);
+    loadLoop(plain, 4);
+    const auto plainSnaps = captureAll(false, plain);
+    auto tracedCfg = cfg;
+    tracedCfg.traceBarrierStates = true;
+    Machine traced(tracedCfg);
+    loadLoop(traced, 4);
+    const auto tracedSnaps = captureAll(true, traced);
+    ASSERT_GE(plainSnaps.size(), 3u);
+    EXPECT_EQ(tracedSnaps, plainSnaps);
+
+    // A traced machine restores a chain (a full snapshot and two
+    // deltas); its timeline starts at the restored cycle and matches
+    // the uninterrupted run's from there on.
+    Machine resumed(tracedCfg);
+    loadLoop(resumed, 4);
+    std::string err;
+    ASSERT_TRUE(resumed.restoreChainState(
+        {tracedSnaps[0], tracedSnaps[1], tracedSnaps[2]}, err))
+        << err;
+    resumed.run();
+    ASSERT_NE(resumed.trace(), nullptr);
+    const std::size_t from = 300;  // the third capture's cycle
+    ASSERT_EQ(resumed.trace()->cycles() + from, traced.trace()->cycles());
+    EXPECT_NE(resumed.trace()->render().find("from cycle 300"),
+              std::string::npos);
+    const auto full = traceRows(*traced.trace());
+    const auto tail = traceRows(*resumed.trace());
+    ASSERT_EQ(tail.size(), full.size());
+    for (std::size_t p = 0; p < full.size(); ++p)
+        EXPECT_EQ(tail[p], full[p].substr(from)) << "cpu" << p;
+}
+
 TEST(MachineSnapshot, SinkReturningFalseUninstalls)
 {
     auto cfg = machineConfig(2);

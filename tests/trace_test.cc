@@ -3,6 +3,10 @@
  * Tests for the barrier-state trace and timeline renderer.
  */
 
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "isa/assembler.hh"
@@ -34,11 +38,11 @@ TEST(BarrierTrace, RecordsAndRenders)
 {
     BarrierTrace t(2);
     using barrier::BarrierState;
-    t.record({BarrierState::NonBarrier, BarrierState::Ready},
+    t.record(0, {BarrierState::NonBarrier, BarrierState::Ready},
              {false, false}, false);
-    t.record({BarrierState::Ready, BarrierState::Ready}, {false, false},
-             true);
-    t.record({BarrierState::Synced, BarrierState::Stalled},
+    t.record(1, {BarrierState::Ready, BarrierState::Ready},
+             {false, false}, true);
+    t.record(2, {BarrierState::Synced, BarrierState::Stalled},
              {false, false}, false);
     EXPECT_EQ(t.cycles(), 3u);
     std::string out = t.render();
@@ -55,12 +59,61 @@ TEST(BarrierTrace, DownsamplingKeepsStalls)
     // 200 cycles of NonBarrier with a single stalled cycle: the stall
     // must survive downsampling to 10 columns.
     for (int k = 0; k < 200; ++k) {
-        t.record({k == 137 ? BarrierState::Stalled
+        t.record(static_cast<std::uint64_t>(k),
+                 {k == 137 ? BarrierState::Stalled
                            : BarrierState::NonBarrier},
                  {false}, false);
     }
     std::string out = t.render(10);
     EXPECT_NE(out.find('#'), std::string::npos);
+}
+
+TEST(BarrierTrace, SkippedCyclesRepeatLastSymbols)
+{
+    BarrierTrace t(2);
+    using barrier::BarrierState;
+    t.record(0, {BarrierState::NonBarrier, BarrierState::Ready},
+             {false, false}, false);
+    t.record(3, {BarrierState::Synced, BarrierState::Ready},
+             {false, false}, true);
+    t.extendTo(6);
+    EXPECT_EQ(t.cycles(), 6u);
+    std::string out = t.render();
+    EXPECT_NE(out.find("cpu0 |...sss|"), std::string::npos) << out;
+    EXPECT_NE(out.find("cpu1 |rrrrrr|"), std::string::npos) << out;
+    EXPECT_NE(out.find("sync |   |  |"), std::string::npos) << out;
+
+    // Recording an earlier cycle rewinds the rows to it.
+    t.record(2, {BarrierState::Stalled, BarrierState::Stalled},
+             {false, false}, false);
+    EXPECT_EQ(t.cycles(), 3u);
+    EXPECT_NE(t.render().find("cpu0 |..#|"), std::string::npos);
+}
+
+TEST(BarrierTrace, WideMachineLabelsAlign)
+{
+    // With 128 processors the ids reach three digits; every row's
+    // first '|' must still sit in one column.
+    constexpr int procs = 128;
+    BarrierTrace t(procs);
+    t.record(0,
+             std::vector<barrier::BarrierState>(
+                 procs, barrier::BarrierState::Ready),
+             std::vector<bool>(procs, false), true);
+    std::istringstream lines(t.render());
+    std::string line;
+    std::size_t column = std::string::npos;
+    int rows = 0;
+    while (std::getline(lines, line)) {
+        if (line.rfind("  cpu", 0) != 0 && line.rfind("  sync", 0) != 0)
+            continue;
+        ++rows;
+        if (column == std::string::npos)
+            column = line.find('|');
+        EXPECT_EQ(line.find('|'), column) << line;
+    }
+    EXPECT_EQ(rows, procs + 1);
+    EXPECT_EQ(column, 8u);  // "  cpu127|"
 }
 
 TEST(BarrierTrace, MachineIntegration)

@@ -391,11 +391,12 @@ replayMain(const Options &opt)
 
 /**
  * Parallel scan-everything mode (--jobs N), on the campaign engine:
- * seeds fan out across the work-stealing pool, every worker recycles
- * machines from its private pool and interns generated programs in
- * the shared cache, and the ordered emitter streams each verdict in
- * seed order as the contiguous prefix completes — a slow seed no
- * longer stalls unrelated seeds behind a batch barrier. Unlike the
+ * workers claim seeds one at a time from a shared counter, every
+ * worker recycles machines from its private pool and interns
+ * generated programs in the shared cache, and the ordered emitter
+ * streams each verdict in seed order as the contiguous prefix
+ * completes — a slow seed delays only its own worker, never
+ * unrelated seeds behind a batch barrier. Unlike the
  * sequential mode nothing stops at the first failure, so the failing
  * seed set — and the printed report — is byte-identical regardless of
  * the worker count or OS scheduling.

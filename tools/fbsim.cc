@@ -25,7 +25,10 @@
  *                        delivery latency; results stay equivalent
  *   --interrupt P:LABEL  timer interrupt every P cycles, ISR at LABEL
  *   --marker             convert programs to BRENTER/BREXIT encoding
- *   --trace [WIDTH]      print the barrier timeline (default width 100)
+ *   --trace [WIDTH]      print the barrier timeline (default width 100);
+ *                        composes with every execution mode,
+ *                        --checkpoint and --restore (a restored
+ *                        run's timeline starts at the restored cycle)
  *   --dump ADDR:COUNT    dump memory words after the run
  *   --reg P:R:VALUE      preset register R of processor P
  *   --fault SPEC         inject faults: comma-separated kind@cycle:proc[:arg]
@@ -52,14 +55,14 @@
  *                        of permitted skew (default 1024); results
  *                        are byte-identical to --shards 1 at any N.
  *                        Falls back to the sequential core under
- *                        --trace or --no-fast-forward
+ *                        --no-fast-forward
  *   --checkpoint DIR:EVERY[:KEEP]
  *                        durably snapshot the machine into DIR every
  *                        EVERY cycles, retaining the newest KEEP
- *                        generations (default 3); incompatible with
- *                        --trace. With --shards, EVERY must be a
- *                        multiple of the shard quantum (anything else
- *                        would silently clamp every skew window).
+ *                        generations (default 3). With --shards,
+ *                        EVERY must be a multiple of the shard
+ *                        quantum (anything else would silently clamp
+ *                        every skew window).
  *                        Captures are dirty-page deltas persisted by a
  *                        background writer thread; a full snapshot
  *                        re-bases the chain periodically
@@ -375,9 +378,6 @@ parseArgs(int argc, char **argv)
         usage("no program files given");
     if (opt.procs != 0 && opt.files.size() != 1)
         usage("--procs requires exactly one program file");
-    if (!opt.checkpointDir.empty() && opt.trace)
-        usage("--checkpoint is incompatible with --trace (the timeline "
-              "is not serialized)");
     if (!opt.checkpointDir.empty() && opt.shards > 1 &&
         opt.checkpointEvery % opt.shardQuantum != 0)
         usage(("--checkpoint EVERY must be a multiple of the shard "
