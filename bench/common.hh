@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <functional>
 #include <map>
+#include <mutex>
 #include <string>
 
 #include <fcntl.h>
@@ -136,19 +137,26 @@ runSteadyState(int default_reps, const std::function<void()> &workload)
  * harness bug. Results are memoized by source text — under the
  * steady-state rep loop each repetition re-generates identical
  * sources, and re-parsing them would make the benches measure the
- * assembler instead of the simulator. */
+ * assembler instead of the simulator. Thread-safe: E18's legacy loop
+ * assembles from one thread per scenario. The memo holds programs
+ * only; Machine::loadProgram decodes each load itself. */
 inline isa::Program
 assembleOrDie(const std::string &src)
 {
+    static std::mutex mu;
     static std::map<std::string, isa::Program> cache;
-    if (auto it = cache.find(src); it != cache.end())
-        return it->second;
+    {
+        std::lock_guard<std::mutex> lk(mu);
+        if (auto it = cache.find(src); it != cache.end())
+            return it->second;
+    }
     isa::Program prog;
     std::string err;
     if (!isa::Assembler::assemble(src, prog, err)) {
         std::fprintf(stderr, "bench assembly failed: %s\n", err.c_str());
         std::exit(1);
     }
+    std::lock_guard<std::mutex> lk(mu);
     return cache.emplace(src, std::move(prog)).first->second;
 }
 

@@ -24,6 +24,7 @@ enum class BarrierState
     Ready,       ///< (ii) in barrier region, not yet synchronized
     Synced,      ///< (iii) in barrier region, synchronized
     Stalled,     ///< (iv) region exhausted, waiting for synchronization
+                 ///< (last: BarrierUnit::decodeState rejects larger bytes)
 };
 
 /** Readable name for a state. */

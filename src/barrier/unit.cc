@@ -198,7 +198,8 @@ BarrierUnit::encodeState(snapshot::Encoder &e) const
 bool
 BarrierUnit::decodeState(snapshot::Decoder &d)
 {
-    _state = static_cast<BarrierState>(d.u8());
+    const std::uint8_t state = d.u8();
+    _state = static_cast<BarrierState>(state);
     _tag = d.u32();
     _epoch = d.u32();
     d.bits(_mask);
@@ -211,6 +212,7 @@ BarrierUnit::decodeState(snapshot::Decoder &d)
     _stalledThisEpisode = d.b();
     ++_maskVersion;
     return d.ok() &&
+           state <= static_cast<std::uint8_t>(BarrierState::Stalled) &&
            _mask.size() == static_cast<std::size_t>(_numProcessors) &&
            _shadowMask.size() == static_cast<std::size_t>(_numProcessors);
 }

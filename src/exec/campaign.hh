@@ -21,9 +21,10 @@ namespace fb::exec
 /**
  * Per-worker execution context handed to every campaign task. The
  * machine pool is private to the worker (no locking on the hot
- * path); the program cache is shared campaign-wide so each distinct
- * generated program assembles once regardless of which worker sees
- * it first.
+ * path); the program cache is shared by all workers, so a scenario's
+ * executors assemble and decode each of its sources once. The cache
+ * is bounded (ProgramCache::maxEntries), so a long campaign's memory
+ * stays flat.
  */
 struct WorkerContext
 {
@@ -39,9 +40,9 @@ struct CampaignOptions
     int jobs = 1;
     /**
      * Optional externally-owned program cache. When set, interned
-     * programs survive across runCampaign calls — a resident service
-     * worker runs one lease per call and must not re-assemble the
-     * same sources on every lease. Null = a private per-call cache.
+     * programs survive across runCampaign calls (a resident service
+     * worker keeps one across its leases). Null = a private per-call
+     * cache.
      */
     ProgramCache *programs = nullptr;
     /**

@@ -38,6 +38,8 @@ ProgramCache::intern(const std::string &source)
     }
 
     std::lock_guard<std::mutex> lk(_mu);
+    if (_cache.size() >= maxEntries)
+        _cache.clear();
     auto [it, inserted] = _cache.emplace(source, std::move(entry));
     ++_misses;
     return it->second;

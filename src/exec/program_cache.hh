@@ -1,6 +1,6 @@
 /**
  * @file
- * Campaign-wide interning cache for assembled programs.
+ * Bounded interning cache for assembled and decoded programs.
  */
 
 #ifndef FB_EXEC_PROGRAM_CACHE_HH
@@ -20,10 +20,10 @@ namespace fb::exec
 {
 
 /**
- * One source text assembled exactly once: both encodings (region
- * bits and BRENTER/BREXIT markers) plus the static-check results,
- * shared by every scenario in a campaign that renders the same text.
- * Immutable after interning, so workers share it without locking.
+ * One source text assembled once: both encodings (region bits and
+ * BRENTER/BREXIT markers) plus the static-check results, shared by
+ * every executor that runs the text. Immutable after interning, so
+ * workers share it without locking.
  */
 struct InternedProgram
 {
@@ -37,25 +37,32 @@ struct InternedProgram
     /**
      * Pre-decoded threaded-code blocks for both encodings (null when
      * assembly failed or the program is empty). Passing these to
-     * Machine::loadProgram lets every pooled machine in a campaign
-     * share one decode per distinct source instead of re-decoding on
-     * each lease; loadProgram re-verifies the block's source hash, so
-     * a block handed to the wrong program is rejected, not trusted.
+     * Machine::loadProgram lets every machine that runs the source
+     * share one decode instead of re-decoding on each load;
+     * loadProgram checks the block against the program it is paired
+     * with (DecodedProgram::matches), so a block handed to the wrong
+     * program is rejected, not trusted.
      */
     std::shared_ptr<const sim::DecodedProgram> bitsDecoded;
     std::shared_ptr<const sim::DecodedProgram> markersDecoded;
 };
 
 /**
- * Shared assembly cache keyed by source text. Generated campaigns
- * draw from a small space of program shapes, so the same source
- * recurs across thousands of scenarios; interning makes each distinct
- * text pay the assembler exactly once per campaign. Thread-safe: one
- * mutex around the map, results handed out as shared_ptr-to-const.
+ * Shared assembly cache keyed by source text. The differential matrix
+ * runs each scenario's sources under about a dozen executors and both
+ * region encodings; interning makes each source assemble and decode
+ * once per scenario. Generated sources almost never recur across
+ * scenarios (2 of 2,227 in a 512-scenario batch), so the table is
+ * bounded: it clears wholesale once it holds @ref maxEntries sources.
+ * Thread-safe: one mutex around the map, results handed out as
+ * shared_ptr-to-const.
  */
 class ProgramCache
 {
   public:
+    /** Sources held before the table clears (about 6 KB each). */
+    static constexpr std::size_t maxEntries = 4096;
+
     /** Assemble @p source, or return the cached result. */
     std::shared_ptr<const InternedProgram>
     intern(const std::string &source);

@@ -8,9 +8,9 @@
  * serialization of the work itself, only of its results. Internally
  * each lease runs through the in-process campaign engine
  * (self-scheduling threads when innerJobs > 1; the worker's own
- * thread keeps a MachinePool and ProgramCache that persist across
- * leases), so the service composes with — rather than replaces — the
- * in-process execution engine.
+ * thread keeps a MachinePool and a bounded ProgramCache that persist
+ * across leases), so the service composes with — rather than
+ * replaces — the in-process execution engine.
  */
 
 #ifndef FB_EXEC_SERVICE_WORKER_HH

@@ -1,10 +1,6 @@
 #include "sim/decoded.hh"
 
-#include <mutex>
-#include <unordered_map>
-
 #include "sim/processor.hh"
-#include "snapshot/format.hh"
 #include "support/logging.hh"
 
 namespace fb::sim
@@ -31,55 +27,36 @@ isPrivateOp(Opcode op)
     }
 }
 
+/** The statically known half of the region predicate: the region bit
+ * or the BRENTER marker itself. */
+bool
+staticRegion(const isa::Instruction &instr)
+{
+    return instr.inRegion || instr.op == Opcode::BRENTER;
+}
+
 } // namespace
 
-std::uint64_t
-programHash(const isa::Program &program)
+bool
+DecodedProgram::matches(const isa::Program &program) const
 {
-    snapshot::Fnv1a h;
-    h.mix(program.size());
-    for (std::size_t i = 0; i < program.size(); ++i) {
+    if (code.size() != program.size())
+        return false;
+    for (std::size_t i = 0; i < code.size(); ++i) {
+        const DecodedInsn &d = code[i];
         const isa::Instruction &instr = program.at(i);
-        h.mix(static_cast<std::uint64_t>(instr.op));
-        h.mix(static_cast<std::uint64_t>(instr.rd));
-        h.mix(static_cast<std::uint64_t>(instr.rs1));
-        h.mix(static_cast<std::uint64_t>(instr.rs2));
-        h.mix(static_cast<std::uint64_t>(instr.imm));
-        h.mix(instr.inRegion ? 1 : 0);
+        if (d.op != instr.op || d.rd != instr.rd || d.rs1 != instr.rs1 ||
+            d.rs2 != instr.rs2 || d.imm != instr.imm ||
+            d.staticRegion != staticRegion(instr))
+            return false;
     }
-    return h.value();
+    return true;
 }
 
 std::shared_ptr<const DecodedProgram>
 decodeProgram(const isa::Program &program)
 {
     FB_ASSERT(program.finalized(), "cannot decode an unfinalized program");
-
-    // Process-wide memo keyed by the content hash. Decoding is a pure
-    // function of the program and the block is immutable, so sharing
-    // one block between machines is exactly what the ProgramCache
-    // already does for interned sources; this extends the sharing to
-    // callers that re-assemble the same program per run (the bench
-    // harnesses and the differ's direct-assembly variants), where
-    // re-decoding was a measurable fraction of short runs. The table
-    // is wholesale-cleared at a size cap so a long fuzz campaign over
-    // ever-fresh programs cannot grow it without bound. Trusting the
-    // hash for equality is the backend's existing contract:
-    // Machine::loadProgram validates caller-supplied blocks the same
-    // way.
-    static std::mutex memo_mu;
-    static std::unordered_map<std::uint64_t,
-                              std::shared_ptr<const DecodedProgram>>
-        memo;
-    constexpr std::size_t memoCap = 1024;
-    const std::uint64_t hash = programHash(program);
-    {
-        std::lock_guard<std::mutex> lk(memo_mu);
-        if (auto it = memo.find(hash); it != memo.end() &&
-                                       it->second->code.size() ==
-                                           program.size())
-            return it->second;
-    }
 
     auto decoded = std::make_shared<DecodedProgram>();
     decoded->code.reserve(program.size());
@@ -100,17 +77,9 @@ decodeProgram(const isa::Program &program)
         d.rs1 = instr.rs1;
         d.rs2 = instr.rs2;
         d.privateOp = isPrivateOp(instr.op);
-        d.staticRegion = instr.inRegion || instr.op == Opcode::BRENTER;
+        d.staticRegion = staticRegion(instr);
         d.bundleable = Processor::bundleable(instr);
         decoded->code.push_back(d);
-    }
-    decoded->sourceHash = hash;
-
-    {
-        std::lock_guard<std::mutex> lk(memo_mu);
-        if (memo.size() >= memoCap)
-            memo.clear();
-        memo.emplace(hash, decoded);
     }
     return decoded;
 }

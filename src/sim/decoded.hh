@@ -13,10 +13,10 @@
  * computed-goto (threaded-code) loop — see processor.cc — executing
  * whole straight-line private stretches in one call.
  *
- * A DecodedProgram is immutable after decode and carries a content
- * hash of its source program, so decoded blocks can be shared freely
- * across machines (exec::ProgramCache interns them next to the
- * assembled programs) and a mismatched pairing is caught at load.
+ * A DecodedProgram is immutable after decode, so decoded blocks can be
+ * shared freely across machines (exec::ProgramCache interns them next
+ * to the assembled programs). A mismatched pairing is caught at load
+ * by comparing the block against the program field by field.
  */
 
 #ifndef FB_SIM_DECODED_HH
@@ -63,18 +63,18 @@ struct DecodedInsn
 struct DecodedProgram
 {
     std::vector<DecodedInsn> code;
-    /** Content hash of the source program (programHash). */
-    std::uint64_t sourceHash = 0;
 
     std::size_t size() const { return code.size(); }
-};
 
-/**
- * Content hash of a finalized program (FNV-1a over every instruction
- * field). Used to pin a DecodedProgram to the exact program it was
- * decoded from when the two travel separately (ProgramCache sharing).
- */
-std::uint64_t programHash(const isa::Program &program);
+    /**
+     * True when this block is the decode of @p program: same length
+     * and, per instruction, the same opcode, operands, immediate and
+     * static region bit — every input of decodeProgram. Pins a block
+     * to its program when the two travel separately (ProgramCache
+     * sharing).
+     */
+    bool matches(const isa::Program &program) const;
+};
 
 /** Decode @p program (must be finalized) into threaded-code form. */
 std::shared_ptr<const DecodedProgram>

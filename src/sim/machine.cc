@@ -350,7 +350,7 @@ Machine::loadProgram(int p, isa::Program program,
         // A shared decode (ProgramCache) must be the twin of this
         // exact program, or the threaded loop would execute different
         // code than the interpreter.
-        FB_ASSERT(decoded->sourceHash == programHash(program),
+        FB_ASSERT(decoded->matches(program),
                   "decoded block does not match the loaded program on "
                   "cpu " << p);
     } else if (program.size() > 0) {

@@ -184,10 +184,11 @@ class Machine : public ExecutionObserver
     /**
      * Load @p program into processor @p p. Must precede run(). With
      * MachineConfig::predecode the program's threaded-code twin is
-     * installed too: pass a shared @p decoded block (it must hash to
-     * this exact program — asserted) to reuse a cached decode, or
-     * leave it null to decode here. A null @p decoded with predecode
-     * off leaves the per-cycle interpreter alone.
+     * installed too: pass a shared @p decoded block to reuse a cached
+     * decode (it must be the decode of this exact program:
+     * DecodedProgram::matches is asserted), or leave it null to decode
+     * here. With predecode off @p decoded is ignored and the per-cycle
+     * interpreter runs.
      */
     void loadProgram(int p, isa::Program program,
                      std::shared_ptr<const DecodedProgram> decoded =

@@ -1055,7 +1055,8 @@ Processor::decodeState(snapshot::Decoder &d)
         r = d.i64();
     _pc = static_cast<std::size_t>(d.u64());
     _halted = d.b();
-    _state = static_cast<CoreState>(d.u8());
+    const std::uint8_t state = d.u8();
+    _state = static_cast<CoreState>(state);
     _busyCycles = d.u32();
     _markerRegion = d.b();
     d.boolVec(_callStack);
@@ -1077,7 +1078,8 @@ Processor::decodeState(snapshot::Decoder &d)
     for (std::uint64_t &s : jitter_state)
         s = d.u64();
     _jitter.setState(jitter_state);
-    return d.ok() && _pc <= _program.size();
+    return d.ok() && _pc <= _program.size() &&
+           state <= static_cast<std::uint8_t>(CoreState::SwRestoring);
 }
 
 } // namespace fb::sim

@@ -277,6 +277,7 @@ class Processor
         SwSaving,     ///< software stall: context save in progress
         SwSuspended,  ///< software stall: task switched out
         SwRestoring,  ///< software stall: context restore in progress
+                      ///< (last: decodeState rejects larger bytes)
     };
 
     /** Fire a pending (pipeline-delayed) arrival if due. */

@@ -24,17 +24,7 @@ AsyncSnapshotWriter::AsyncSnapshotWriter(SnapshotStore &store,
                                          WriterConfig config)
     : _store(store), _config(config)
 {
-    if (_config.queueCapacity == 0)
-        _config.queueCapacity = 1;
-    if (_config.deferDurability)
-        _store.setDurability(Durability::Deferred);
-    switch (_config.threading) {
-      case WriterThreading::Background: break;
-      case WriterThreading::Inline: _inline = true; break;
-      case WriterThreading::Auto:
-        _inline = std::thread::hardware_concurrency() == 1;
-        break;
-    }
+    _store.setDurability(Durability::Deferred);
     if (!_inline)
         _worker = std::thread([this] { workerMain(); });
 }
@@ -172,9 +162,8 @@ AsyncSnapshotWriter::submit(SnapshotHeader header,
             ++_stats.dropped;
         } else if (_inline) {
             // Same bookkeeping as the worker loop, minus the thread
-            // hop (see WriterThreading::Auto). The fsync is still
-            // deferred, so this blocks on the page cache, not on
-            // stable storage.
+            // hop (see _inline). The fsync is still deferred, so this
+            // blocks on the page cache, not on stable storage.
             lk.unlock();
             std::string error;
             const bool ok = persistWithRetry(header, sections, error);
@@ -189,7 +178,7 @@ AsyncSnapshotWriter::submit(SnapshotHeader header,
                 degradeTo(WriterMode::SyncDelta, error);
             }
         } else {
-            while (_queue.size() >= _config.queueCapacity &&
+            while (_queue.size() >= queueCapacity &&
                    !_stopping) {
                 ++_stats.backpressureWaits;
                 _doneCv.wait(lk);

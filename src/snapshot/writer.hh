@@ -9,9 +9,9 @@
  * the SnapshotStore. Serialization and fsync latency therefore never
  * block Machine::run — the run only stalls when it outpaces the disk
  * badly enough to fill the bounded queue. (On a single-hardware-thread
- * host the persist happens inline instead — see WriterThreading::Auto
- * — with the fsync still deferred, so the no-stable-storage-wait
- * property survives even where true overlap is impossible.)
+ * host the persist happens inline instead, with the fsync still
+ * deferred, so the no-stable-storage-wait property survives even where
+ * true overlap is impossible.)
  *
  * Persistence failures never abort the run. Each save is retried with
  * exponential backoff; a capture that still fails is dropped and the
@@ -53,41 +53,13 @@ enum class WriterMode
 /** Human-readable ladder position. */
 const char *writerModeName(WriterMode mode);
 
-/** How the writer persists captures while on the async rung. */
-enum class WriterThreading
-{
-    /**
-     * Background thread, except on single-hardware-thread hosts. A
-     * lone core cannot overlap the writer with the simulation — the
-     * thread hop only adds context switches — so Auto persists inline
-     * there (fsync still deferred to drain(), so the run still never
-     * waits on stable storage).
-     */
-    Auto,
-    Background, ///< always use the background thread
-    Inline,     ///< never spawn a thread (deterministic tests)
-};
-
-/** Tuning knobs for AsyncSnapshotWriter. */
+/** Retry knobs for AsyncSnapshotWriter. */
 struct WriterConfig
 {
-    /** Captures in flight before submit() blocks (>= 1). */
-    std::size_t queueCapacity = 2;
     /** Retries per capture after the initial attempt. */
     int maxRetries = 3;
     /** First retry delay; doubles per retry. 0 = no sleeping (tests). */
     std::uint32_t backoffInitialMs = 1;
-    /**
-     * Run the store under Durability::Deferred while on the async
-     * rung: saves land without fsync and drain() batches the flushes
-     * (far cheaper than per-save fsync, and torn tails are already
-     * covered by the load-time walk-back). Any degradation off the
-     * async rung flips the store back to Strict — the sync rungs are
-     * durable per save.
-     */
-    bool deferDurability = true;
-    /** See WriterThreading — Auto picks per host parallelism. */
-    WriterThreading threading = WriterThreading::Auto;
 };
 
 /** Counters exposed for tests, benchmarks and RunResult reporting. */
@@ -122,6 +94,12 @@ struct SubmitVerdict
  * thread for its whole lifetime; the destructor drains the queue and
  * joins. Thread-safe only in the intended shape: one producer calling
  * submit()/drain(), any thread calling stats().
+ *
+ * While on the async rung the store runs under Durability::Deferred:
+ * saves land without fsync and drain() batches the flushes (far
+ * cheaper than per-save fsync, and torn tails are already covered by
+ * the load-time walk-back). Any degradation off the async rung flips
+ * the store back to Strict — the sync rungs are durable per save.
  */
 class AsyncSnapshotWriter
 {
@@ -156,6 +134,9 @@ class AsyncSnapshotWriter
     WriterStats stats() const;
 
   private:
+    /** Captures in flight before submit() blocks. */
+    static constexpr std::size_t queueCapacity = 2;
+
     struct Job
     {
         SnapshotHeader header;
@@ -198,8 +179,14 @@ class AsyncSnapshotWriter
 
     WriterStats _stats;
 
-    /** Resolved WriterThreading: persist on the caller's thread. */
-    bool _inline = false;
+    /**
+     * Persist on the caller's thread instead of the background one. A
+     * lone hardware thread cannot overlap the writer with the
+     * simulation — the hop only adds context switches — so a 1-core
+     * host persists inline (fsync still deferred to drain(), so the
+     * run still never waits on stable storage).
+     */
+    const bool _inline = std::thread::hardware_concurrency() == 1;
 
     std::thread _worker;
 };

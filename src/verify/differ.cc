@@ -11,7 +11,6 @@
 #include "exec/machine_pool.hh"
 #include "exec/program_cache.hh"
 #include "exec/sharded_machine.hh"
-#include "isa/assembler.hh"
 #include "sim/machine.hh"
 #include "verify/generator.hh"
 #include "verify/resume.hh"
@@ -39,15 +38,13 @@ struct Variant
     int shardCount = 1;       ///< host threads (exec::ShardedMachine)
     std::uint64_t shardQuantum = 0;  ///< skew window (0 = sequential)
     /** Sync network override; unset = DiffOptions::topology. */
-    std::optional<barrier::Topology> topology;
+    std::optional<barrier::Topology> topology = std::nullopt;
 };
 
 /**
- * The programs of one encoding plus (optionally) their shared
- * pre-decoded blocks. With a program cache the decoded vector is
- * populated from the interned entries, so every pooled machine in a
- * campaign reuses one decode per distinct source; without it the
- * vector stays empty and loadProgram decodes privately.
+ * The programs of one encoding plus their interned pre-decoded blocks
+ * (null for an empty program), so every executor of the scenario
+ * reuses one decode per source.
  */
 struct ProgramSet
 {
@@ -60,8 +57,7 @@ runOnMachine(const Scenario &sc, const ProgramSet &set, sim::Machine &m)
 {
     for (int p = 0; p < sc.procs(); ++p) {
         const auto sp = static_cast<std::size_t>(p);
-        m.loadProgram(p, set.programs[sp],
-                      set.decoded.empty() ? nullptr : set.decoded[sp]);
+        m.loadProgram(p, set.programs[sp], set.decoded[sp]);
     }
     // ShardedMachine honors the machine's shard config and falls back
     // to the plain sequential run() when shardCount <= 1, so routing
@@ -354,55 +350,38 @@ runDifferential(const Scenario &sc, const DiffOptions &opt)
     }
     const std::vector<int> fatal = sc.faults.fatalTargets();
 
-    // Assemble both encodings up front. With an intern cache the
-    // assembled pair — and its pre-decoded blocks — is shared
-    // campaign-wide and only copied into the per-call vectors;
-    // otherwise assemble locally as before.
+    // Assemble both encodings up front through the intern cache: the
+    // caller's, shared with its other scenarios, or a private one. The
+    // assembled pair and its pre-decoded blocks are then shared by
+    // every executor below, the checkpoint oracle included.
+    exec::ProgramCache localPrograms;
+    exec::ProgramCache &programCache =
+        opt.programCache != nullptr ? *opt.programCache : localPrograms;
     ProgramSet bits;
     ProgramSet markers;
     for (int p = 0; p < sc.procs(); ++p) {
-        const auto &source = sc.sources[static_cast<std::size_t>(p)];
-        isa::Program bitProg;
-        isa::Program markerProg;
-        if (opt.programCache) {
-            auto interned = opt.programCache->intern(source);
-            if (!interned->ok) {
-                std::ostringstream oss;
-                oss << "processor " << p << ": " << interned->error;
-                return failed("assemble", oss.str());
-            }
-            if (interned->regionViolation) {
-                std::ostringstream oss;
-                oss << "processor " << p << ": "
-                    << *interned->regionViolation;
-                return failed("static-check", oss.str());
-            }
-            bitProg = interned->bits;
-            markerProg = interned->markers;
-            bits.decoded.push_back(interned->bitsDecoded);
-            markers.decoded.push_back(interned->markersDecoded);
-        } else {
-            std::string err;
-            if (!isa::Assembler::assemble(source, bitProg, err)) {
-                std::ostringstream oss;
-                oss << "processor " << p << ": " << err;
-                return failed("assemble", oss.str());
-            }
-            if (auto violation = bitProg.checkRegionBranches()) {
-                std::ostringstream oss;
-                oss << "processor " << p << ": " << *violation;
-                return failed("static-check", oss.str());
-            }
-            markerProg = bitProg.toMarkerEncoding();
+        auto interned =
+            programCache.intern(sc.sources[static_cast<std::size_t>(p)]);
+        if (!interned->ok) {
+            std::ostringstream oss;
+            oss << "processor " << p << ": " << interned->error;
+            return failed("assemble", oss.str());
+        }
+        if (interned->regionViolation) {
+            std::ostringstream oss;
+            oss << "processor " << p << ": " << *interned->regionViolation;
+            return failed("static-check", oss.str());
         }
         if (sc.interruptPeriod > 0 &&
             (sc.isrEntry < 0 ||
              sc.isrEntry >=
-                 static_cast<std::int64_t>(bitProg.size()))) {
+                 static_cast<std::int64_t>(interned->bits.size()))) {
             return failed("setup", "ISR entry index outside program");
         }
-        markers.programs.push_back(std::move(markerProg));
-        bits.programs.push_back(std::move(bitProg));
+        bits.programs.push_back(interned->bits);
+        bits.decoded.push_back(interned->bitsDecoded);
+        markers.programs.push_back(interned->markers);
+        markers.decoded.push_back(interned->markersDecoded);
     }
 
     const bool baseMarkers = sc.encoding == Encoding::Markers;
@@ -422,55 +401,28 @@ runDifferential(const Scenario &sc, const DiffOptions &opt)
     if (auto why = oracles(rep.baseline); !why.empty())
         return failed(baseVariant.name, why);
 
-    std::vector<Variant> variants;
-    if (opt.otherEncoding) {
-        Variant v;
-        v.name = std::string("encoding/") +
+    // The fixed matrix: the other encoding, then the baseline encoding
+    // under each model the paper claims is result-equivalent. The
+    // legacy loop cross-checks the event-driven fast-forward core on
+    // every fuzzed scenario.
+    std::vector<Variant> variants = {
+        {.name = std::string("encoding/") +
                  encodingName(baseMarkers ? Encoding::RegionBits
-                                          : Encoding::Markers);
-        v.markers = !baseMarkers;
-        variants.push_back(v);
-    }
-    for (int depth : opt.pipelineDepths) {
-        Variant v;
-        v.name = "pipeline/depth" + std::to_string(depth);
-        v.markers = baseMarkers;
-        v.pipelineDepth = depth;
-        variants.push_back(v);
-    }
-    if (opt.softwareStall) {
-        Variant v;
-        v.name = "stall/software(20,20)";
-        v.markers = baseMarkers;
-        v.stall = sim::StallModel::software(20, 20);
-        variants.push_back(v);
-    }
-    if (opt.jitter) {
-        Variant v;
-        v.name = "jitter/mean1.5";
-        v.markers = baseMarkers;
-        v.jitterMean = 1.5;
-        v.machineSeed = 99;
-        variants.push_back(v);
-    }
-    if (opt.multiIssue) {
-        Variant v;
-        v.name = "vliw/width4";
-        v.markers = baseMarkers;
-        v.issueWidth = 4;
-        variants.push_back(v);
-    }
-    if (opt.legacyLoop) {
-        // Same machine as the baseline but on the per-cycle loop:
-        // every fuzzed scenario continuously cross-checks the
-        // event-driven fast-forward core against the legacy loop.
-        Variant v;
-        v.name = "core/legacy-loop";
-        v.markers = baseMarkers;
-        v.fastForward = false;
-        variants.push_back(v);
-    }
-    if (opt.legacyDispatch && opt.predecode) {
+                                          : Encoding::Markers),
+         .markers = !baseMarkers},
+        {.name = "pipeline/depth2", .markers = baseMarkers,
+         .pipelineDepth = 2},
+        {.name = "pipeline/depth4", .markers = baseMarkers,
+         .pipelineDepth = 4},
+        {.name = "stall/software(20,20)", .markers = baseMarkers,
+         .stall = sim::StallModel::software(20, 20)},
+        {.name = "jitter/mean1.5", .markers = baseMarkers,
+         .jitterMean = 1.5, .machineSeed = 99},
+        {.name = "vliw/width4", .markers = baseMarkers, .issueWidth = 4},
+        {.name = "core/legacy-loop", .markers = baseMarkers,
+         .fastForward = false},
+    };
+    if (opt.predecode) {
         // Same machine as the baseline but decoding instruction by
         // instruction: every fuzzed scenario continuously cross-checks
         // the pre-decoded threaded-code backend (with its macro-step
@@ -526,21 +478,18 @@ runDifferential(const Scenario &sc, const DiffOptions &opt)
             return failed(v.name, why);
     }
 
-    if (opt.checkpointing) {
-        // Checkpointed executor: the scenario once more through the
-        // staged delta-chain capture/restore oracle. The oracle's own
-        // reference run shares this matrix's baseline model, so any
-        // failure here is a checkpointing defect, not a variant
-        // divergence. The chain seed derives from the baseline
-        // fingerprint: deterministic per scenario, different across
-        // scenarios.
-        auto rr = checkChainResumeEquivalence(
-            sc, rep.baseline.hash(), true, 4, opt.maxCycles,
-            opt.machinePool, opt.programCache);
-        ++rep.variantsRun;
-        if (!rr.ok)
-            return failed("checkpoint/delta-chain", rr.failure);
-    }
+    // Checkpointed executor: the scenario once more through the staged
+    // delta-chain capture/restore oracle. The oracle's own reference
+    // run shares this matrix's baseline model, so any failure here is a
+    // checkpointing defect, not a variant divergence. The chain seed
+    // derives from the baseline fingerprint: deterministic per
+    // scenario, different across scenarios.
+    auto rr = checkChainResumeEquivalence(sc, rep.baseline.hash(), true, 4,
+                                          opt.maxCycles, opt.machinePool,
+                                          &programCache);
+    ++rep.variantsRun;
+    if (!rr.ok)
+        return failed("checkpoint/delta-chain", rr.failure);
 
     if (opt.swBarrierReference) {
         int group_start = 0;

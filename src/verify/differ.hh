@@ -53,16 +53,17 @@ struct Fingerprint
     std::string summary() const;
 };
 
-/** Which executors to run beyond the depth-1 baseline. */
+/**
+ * Which executors to run beyond the depth-1 baseline. Every scenario
+ * always runs the other encoding, pipeline depths 2 and 4, the
+ * software (Encore) stall model, execution jitter, VLIW width 4, the
+ * per-cycle loop, the legacy interpreter (unless @ref predecode is
+ * off) and the delta-chain checkpoint oracle
+ * (verify::checkChainResumeEquivalence); the fields below add or
+ * shape the rest.
+ */
 struct DiffOptions
 {
-    bool otherEncoding = true;          ///< bit <-> marker cross-check
-    std::vector<int> pipelineDepths = {2, 4};
-    bool softwareStall = true;          ///< Encore-style stall model
-    bool jitter = true;                 ///< random execution drift
-    bool multiIssue = true;             ///< VLIW width 4
-    bool legacyLoop = true;             ///< per-cycle loop (no fast-forward)
-    bool legacyDispatch = true;         ///< legacy interpreter (no predecode)
     /**
      * Topology-sweep cross-check: re-run the baseline model under a
      * tree and a cluster synchronization network. The topology only
@@ -80,20 +81,6 @@ struct DiffOptions
     bool swBarrierReference = true;     ///< real-thread cross-check
     std::uint64_t maxCycles = 5'000'000;
     std::size_t memWords = 4096;
-
-    /**
-     * Delta-chain checkpoint/restore oracle on every scenario: the
-     * baseline is re-run with a staged checkpoint sink capturing a
-     * full-snapshot-plus-deltas chain in memory, and a fresh machine
-     * restored through a whole chain runs to completion — both must
-     * match the uninterrupted run bit-for-bit
-     * (verify::checkChainResumeEquivalence). On by default: E17's
-     * delta+async overhead made checkpointing cheap enough that every
-     * campaign now exercises the durability path instead of trusting
-     * a separate sweep. Campaigns run it via runCampaign's item
-     * runners, which build their DiffOptions from these defaults.
-     */
-    bool checkpointing = true;
 
     /**
      * When >= 2, adds a sequential-vs-sharded executor: the baseline
@@ -117,9 +104,10 @@ struct DiffOptions
     /**
      * Optional campaign-engine hooks. When set, every variant runs on
      * a reset machine leased from the pool instead of a freshly
-     * constructed one, and program assembly goes through the shared
-     * intern cache. Both must outlive the call; the pool must belong
-     * to the calling worker (MachinePool is not thread-safe).
+     * constructed one, and program assembly goes through the caller's
+     * intern cache instead of a private one. Both must outlive the
+     * call; the pool must belong to the calling worker (MachinePool is
+     * not thread-safe).
      */
     exec::MachinePool *machinePool = nullptr;
     exec::ProgramCache *programCache = nullptr;

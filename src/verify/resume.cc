@@ -10,7 +10,6 @@
 
 #include "exec/machine_pool.hh"
 #include "exec/program_cache.hh"
-#include "isa/assembler.hh"
 #include "sim/machine.hh"
 #include "support/random.hh"
 
@@ -177,10 +176,9 @@ class MachineSlot
 };
 
 /**
- * Assemble (or intern) the scenario's programs. With a cache the
- * interned pre-decoded blocks ride along so every machine below
- * shares one decode per source; without one the vector holds nulls
- * and loadProgram decodes privately.
+ * Intern the scenario's programs through @p program_cache, or a
+ * private cache when it is null, so every machine below shares one
+ * decode per source.
  */
 bool
 buildPrograms(const Scenario &sc, exec::ProgramCache *program_cache,
@@ -189,38 +187,21 @@ buildPrograms(const Scenario &sc, exec::ProgramCache *program_cache,
                   &decoded,
               std::string &error)
 {
+    exec::ProgramCache localPrograms;
+    exec::ProgramCache &cache =
+        program_cache != nullptr ? *program_cache : localPrograms;
+    const bool markers = sc.encoding == Encoding::Markers;
     for (int p = 0; p < sc.procs(); ++p) {
-        const auto &source = sc.sources[static_cast<std::size_t>(p)];
-        isa::Program prog;
-        std::shared_ptr<const sim::DecodedProgram> block;
-        if (program_cache) {
-            auto interned = program_cache->intern(source);
-            if (!interned->ok) {
-                std::ostringstream oss;
-                oss << "assemble (processor " << p
-                    << "): " << interned->error;
-                error = oss.str();
-                return false;
-            }
-            prog = sc.encoding == Encoding::Markers
-                       ? interned->markers
-                       : interned->bits;
-            block = sc.encoding == Encoding::Markers
-                        ? interned->markersDecoded
-                        : interned->bitsDecoded;
-        } else {
-            std::string err;
-            if (!isa::Assembler::assemble(source, prog, err)) {
-                std::ostringstream oss;
-                oss << "assemble (processor " << p << "): " << err;
-                error = oss.str();
-                return false;
-            }
-            if (sc.encoding == Encoding::Markers)
-                prog = prog.toMarkerEncoding();
+        auto interned = cache.intern(sc.sources[static_cast<std::size_t>(p)]);
+        if (!interned->ok) {
+            std::ostringstream oss;
+            oss << "assemble (processor " << p << "): " << interned->error;
+            error = oss.str();
+            return false;
         }
-        programs.push_back(std::move(prog));
-        decoded.push_back(std::move(block));
+        programs.push_back(markers ? interned->markers : interned->bits);
+        decoded.push_back(markers ? interned->markersDecoded
+                                  : interned->bitsDecoded);
     }
     return true;
 }

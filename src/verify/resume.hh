@@ -67,9 +67,10 @@ struct ResumeReport
  *
  * When @p pool is non-null the A/B/C machines are leased from it
  * (three concurrent leases of the same structural shape) instead of
- * constructed fresh, and @p programs, when also non-null, interns the
- * scenario's assembly. Both hooks must outlive the call; the pool
- * must belong to the calling worker.
+ * constructed fresh. The scenario's assembly is interned in
+ * @p programs when it is non-null, in a private cache otherwise. Both
+ * hooks must outlive the call; the pool must belong to the calling
+ * worker.
  */
 ResumeReport checkResumeEquivalence(const Scenario &sc,
                                     std::uint64_t k_seed,

@@ -280,6 +280,25 @@ TEST(Campaign, ProgramCacheInternsBySource)
               bad.get());
 }
 
+TEST(Campaign, ProgramCacheIsBounded)
+{
+    // Generated sources almost never recur across scenarios, so the
+    // cache clears wholesale at its cap instead of growing with the
+    // campaign: after maxEntries other sources the first one is
+    // assembled again.
+    exec::ProgramCache cache;
+    auto source = [](std::size_t i) {
+        return "li r1, " + std::to_string(i) + "\nhalt\n";
+    };
+    ASSERT_TRUE(cache.intern(source(0))->ok);
+    for (std::size_t i = 1; i <= exec::ProgramCache::maxEntries; ++i)
+        cache.intern(source(i));
+    EXPECT_EQ(cache.misses(), exec::ProgramCache::maxEntries + 1);
+    cache.intern(source(0));
+    EXPECT_EQ(cache.misses(), exec::ProgramCache::maxEntries + 2);
+    EXPECT_EQ(cache.hits(), 0u);
+}
+
 TEST(Campaign, EveryItemRunsExactlyOnce)
 {
     // The emitter drops duplicate deliveries, so the consumer stream

@@ -12,6 +12,7 @@
  */
 
 #include <cstdint>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -275,7 +276,7 @@ TEST(Equivalence, ProgramCacheSharesDecodedBlocks)
     // encoding. Every pooled machine that loads the same interned
     // source must install that exact block (pointer identity — no
     // per-lease re-decode), and a block handed to a *different*
-    // program must be rejected by loadProgram's hash check rather
+    // program must be rejected by loadProgram's exact check rather
     // than silently executed.
     const std::string src_a =
         "settag 1\nsetmask 3\n.region\nnop\n.endregion\nnop\nhalt\n";
@@ -325,6 +326,48 @@ TEST(Equivalence, ProgramCacheSharesDecodedBlocks)
     EXPECT_DEATH(victim.loadProgram(0, interned_b->bits,
                                     interned->bitsDecoded),
                  "decoded block does not match");
+}
+
+TEST(Equivalence, DecodedBlockMatchesOnlyItsProgram)
+{
+    // A decode is a function of the length and, per instruction, the
+    // opcode, operands, immediate and static region bit: a shared block
+    // must match exactly the programs that agree on all of them.
+    const std::string src = "settag 1\nsetmask 3\nli r1, 5\n.region\n"
+                            "addi r2, r1, 7\n.endregion\n"
+                            "add r3, r1, r2\nhalt\n";
+    isa::Program a;
+    std::string err;
+    ASSERT_TRUE(isa::Assembler::assemble(src, a, err)) << err;
+    const auto block = sim::decodeProgram(a);
+    EXPECT_TRUE(block->matches(a));
+    const isa::Program copy = a;
+    EXPECT_TRUE(block->matches(copy));
+
+    constexpr std::size_t addi = 3;
+    constexpr std::size_t add = 4;
+    ASSERT_EQ(a.at(addi).op, isa::Opcode::ADDI);
+    ASSERT_TRUE(a.at(addi).inRegion);
+    ASSERT_EQ(a.at(add).op, isa::Opcode::ADD);
+    ASSERT_FALSE(a.at(add).inRegion);
+    using Edit = std::function<void(isa::Program &)>;
+    const std::vector<std::pair<std::string, Edit>> edits = {
+        {"opcode", [](isa::Program &p) { p.at(addi).op = isa::Opcode::MULI; }},
+        {"rd", [](isa::Program &p) { p.at(addi).rd = 4; }},
+        {"rs1", [](isa::Program &p) { p.at(addi).rs1 = 3; }},
+        {"rs2", [](isa::Program &p) { p.at(add).rs2 = 5; }},
+        {"imm", [](isa::Program &p) { p.at(addi).imm = 8; }},
+        {"region bit", [](isa::Program &p) { p.at(add).inRegion = true; }},
+    };
+    for (const auto &[field, edit] : edits) {
+        isa::Program b = a;
+        edit(b);
+        EXPECT_FALSE(block->matches(b)) << field;
+    }
+    isa::Program longer;
+    ASSERT_TRUE(isa::Assembler::assemble(src + "nop\n", longer, err))
+        << err;
+    EXPECT_FALSE(block->matches(longer)) << "length";
 }
 
 TEST(Equivalence, TimeoutMatches)

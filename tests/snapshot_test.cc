@@ -1740,6 +1740,94 @@ TEST(MachineSnapshot, MalformedSyncRecordsNeverRestore)
     }
 }
 
+TEST(MachineSnapshot, OutOfRangeStateBytesNeverRestore)
+{
+    Machine probe(machineConfig(4));
+    loadLoop(probe, 4);
+    const auto probeResult = probe.run();
+
+    auto cfg = machineConfig(4);
+    cfg.checkpointEveryCycles = probeResult.cycles / 6;
+    cfg.checkpointRebaseEvery = 100;
+    Machine m(cfg);
+    loadLoop(m, 4);
+    std::vector<std::vector<std::uint8_t>> captures;
+    m.setStagedCheckpointSink(
+        [&captures](SnapshotHeader h, std::vector<Section> secs) {
+            captures.push_back(assemble(h, secs));
+            return Machine::CheckpointAck{};
+        });
+    m.run();
+    ASSERT_GE(captures.size(), 2u);
+
+    // Set one byte of section @p id in the full capture (@p delta
+    // false) or in the delta after it, re-assemble with valid CRCs and
+    // restore into a fresh machine.
+    auto restorePatched = [&](bool delta, SectionId id,
+                              std::size_t offset, std::uint8_t value,
+                              std::string &err) {
+        SnapshotHeader header;
+        std::vector<Section> sections;
+        EXPECT_TRUE(disassemble(captures[delta ? 1 : 0], header, sections,
+                                err))
+            << err;
+        auto it = std::find_if(
+            sections.begin(), sections.end(), [id](const Section &s) {
+                return s.id == static_cast<std::uint32_t>(id);
+            });
+        EXPECT_NE(it, sections.end());
+        if (it == sections.end() || offset >= it->payload.size())
+            return true;
+        it->payload[offset] = value;
+
+        Machine victim(machineConfig(4));
+        loadLoop(victim, 4);
+        const auto bytes = assemble(header, sections);
+        if (!delta)
+            return victim.restoreState(bytes, err);
+        EXPECT_TRUE(victim.restoreState(captures[0], err)) << err;
+        return victim.applyDeltaState(bytes, err);
+    };
+
+    // cpu0's core state follows the processor count, its registers, pc
+    // and halted flag; unit 0's barrier state follows the unit count.
+    // The last enumerator still restores, which pins each offset to
+    // the byte whose bound it is.
+    struct Case
+    {
+        SectionId id;
+        std::size_t offset;
+        std::uint8_t last;
+        const char *section;
+    };
+    const Case cases[] = {
+        {SectionId::Processors, 8 + 8 * isa::numRegisters + 8 + 1,
+         5 /* CoreState::SwRestoring */, "processors"},
+        {SectionId::Network, 4,
+         static_cast<std::uint8_t>(barrier::BarrierState::Stalled),
+         "network"},
+    };
+    for (bool delta : {false, true}) {
+        for (const Case &c : cases) {
+            std::string err;
+            EXPECT_TRUE(restorePatched(delta, c.id, c.offset, c.last, err))
+                << c.section << (delta ? " (delta): " : ": ") << err;
+            for (int bad : {c.last + 1, 200}) {
+                err.clear();
+                EXPECT_FALSE(restorePatched(delta, c.id, c.offset,
+                                            static_cast<std::uint8_t>(bad),
+                                            err))
+                    << c.section << (delta ? " (delta)" : "") << " byte "
+                    << bad;
+                EXPECT_NE(err.find(std::string("corrupt ") + c.section +
+                                   " section"),
+                          std::string::npos)
+                    << err;
+            }
+        }
+    }
+}
+
 TEST(MachineSnapshot, DeltaSnapshotRequiresItsChain)
 {
     Machine probe(machineConfig(4));
