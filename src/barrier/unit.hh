@@ -83,8 +83,14 @@ class BarrierUnit
     /** Advance to the next synchronization epoch (recovery). */
     void bumpEpoch() { ++_epoch; }
 
-    /** True if this unit takes part in barrier synchronization. */
-    bool participating() const { return _tag != 0; }
+    /**
+     * True if this unit takes part in barrier synchronization. Reads
+     * the ECC shadow tag: a corrupted live tag is scrubbed before the
+     * network next compares tags, so a corrected flip must not decide
+     * whether the core arms an arrival in the tick it lands in (tag 1
+     * read as 0 would skip the barrier episode).
+     */
+    bool participating() const { return _shadowTag != 0; }
 
     /** Set the participation mask from a bit-per-processor word. */
     void setMask(std::uint64_t bits);

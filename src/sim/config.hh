@@ -156,20 +156,17 @@ struct MachineConfig
     /** Abort the run after this many cycles (runaway guard). */
     std::uint64_t maxCycles = 200'000'000;
 
-    /** Record sync events for the safety oracle. */
-    bool recordSyncEvents = true;
-
     /**
-     * Cap on the retained sync-record trail (0 = unbounded). A very
-     * long run with recordSyncEvents on grows the record vector — and
-     * with it every checkpoint's core section — without bound; with a
-     * window only the newest this-many completed records survive,
-     * rotating the rest out (RunResult::syncRecordsDropped counts
-     * them). Records still open, or already pinned by the current
-     * delta-checkpoint epoch, are never rotated out, so delta patching
-     * stays exact. Unlike the operational knobs below this changes
-     * what the run reports, so it participates in the config
-     * fingerprint.
+     * Cap on the retained sync-record trail (0 = unbounded). Every
+     * delivery is recorded for the safety oracle, so a very long run
+     * grows the record vector — and with it every checkpoint's core
+     * section — without bound; with a window only the newest this-many
+     * completed records survive, rotating the rest out
+     * (RunResult::syncRecordsDropped counts them). Records still open,
+     * or already pinned by the current delta-checkpoint epoch, are
+     * never rotated out, so delta patching stays exact. Unlike the
+     * operational knobs below this changes what the run reports, so it
+     * participates in the config fingerprint.
      */
     std::size_t syncRecordWindow = 0;
 

@@ -163,8 +163,7 @@ Machine::Machine(const MachineConfig &config) : _config(config)
             *_ports.back(), config.pipelineDepth, config.stall,
             master.split(), config.jitterMean, config.interruptPeriod,
             config.isrEntry, config.issueWidth));
-        if (config.recordSyncEvents)
-            _processors.back()->setObserver(this);
+        _processors.back()->setObserver(this);
     }
     if (config.traceBarrierStates) {
         _trace = std::make_unique<BarrierTrace>(config.numProcessors);
@@ -290,8 +289,7 @@ Machine::reset(const MachineConfig &config)
                                 master.split(), config.jitterMean,
                                 config.interruptPeriod, config.isrEntry,
                                 config.issueWidth);
-        if (config.recordSyncEvents)
-            _processors[idx]->setObserver(this);
+        _processors[idx]->setObserver(this);
     }
     _trace = config.traceBarrierStates
                  ? std::make_unique<BarrierTrace>(config.numProcessors)
@@ -526,7 +524,7 @@ Machine::run(ShardWindowDriver *driver)
         if (delivered > 0 || _network->deliveryPending())
             any_progress = true;
 
-        if (_config.recordSyncEvents && delivered > 0) {
+        if (delivered > 0) {
             // Group the newly synchronized processors by tag; each
             // group is one completed barrier episode. delivered() is
             // exactly the set whose episode counters advanced, in
@@ -1018,16 +1016,20 @@ Machine::configFingerprint() const
     h.mix(_config.interruptPeriod);
     h.mix(static_cast<std::uint64_t>(_config.isrEntry));
     h.mix(_config.maxCycles);
-    h.mix(_config.recordSyncEvents ? 1 : 0);
+    // Sync events are always recorded; the constant stands where a
+    // record-or-not flag was mixed, so fingerprints (and the headers
+    // of stores already written) keep their values.
+    h.mix(1);
     // The record window changes what the run retains (and the wire
     // bytes of every checkpoint), so unlike the knobs excluded below
     // it participates.
     h.mix(_config.syncRecordWindow);
     h.mix(_config.fastForward ? 1 : 0);
     // checkpointEveryCycles, checkpointRebaseEvery, shardCount,
-    // shardQuantum and predecode are deliberately excluded: none of them changes results, so snapshots taken at
-    // different cadences — or under a different shard layout or
-    // execution backend — are mutually restorable.
+    // shardQuantum, predecode and traceBarrierStates are deliberately
+    // excluded: none of them changes results, so snapshots taken at
+    // different cadences — or under a different shard layout,
+    // execution backend or tracing — are mutually restorable.
     h.mixString(_config.faultPlan != nullptr ? _config.faultPlan->toSpec()
                                              : std::string());
     h.mix(_config.watchdog.enabled ? 1 : 0);

@@ -310,12 +310,14 @@ class Machine : public ExecutionObserver
 
     /**
      * FNV-1a fingerprint over every result-relevant configuration
-     * input: all MachineConfig fields except checkpointEveryCycles
-     * (which never changes results), the fault plan, the watchdog
-     * parameters, and every loaded program's instructions and barrier
-     * ids. A snapshot only restores into a machine with an identical
-     * fingerprint, so state can never silently meet the wrong config
-     * or the wrong code.
+     * input: the MachineConfig fields (fastForward included) except
+     * checkpointEveryCycles, checkpointRebaseEvery, shardCount,
+     * shardQuantum, predecode and traceBarrierStates, which change how
+     * a run executes, persists or is observed, never what it computes;
+     * the fault plan, the watchdog parameters, and every loaded
+     * program's instructions and barrier ids. A snapshot only
+     * restores into a machine with an identical fingerprint, so state
+     * can never silently meet the wrong config or the wrong code.
      */
     std::uint64_t configFingerprint() const;
 

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <optional>
+#include <functional>
 #include <sstream>
 #include <thread>
 
@@ -24,21 +24,16 @@ namespace
 /** Registers compared across executors (see generator.hh). */
 constexpr int diffedRegs[] = {1, 2, 3, 4, 5, 6, 25};
 
+/**
+ * One executor of the matrix: the programs of one encoding run on the
+ * scenario's baseline machine after @ref edit (none for the baseline
+ * itself and the cross-encoding run).
+ */
 struct Variant
 {
     std::string name;
-    bool markers = false;     ///< run the marker-encoded programs
-    int pipelineDepth = 1;
-    int issueWidth = 1;
-    double jitterMean = 0.0;
-    std::uint64_t machineSeed = 1;
-    sim::StallModel stall = sim::StallModel::hardware();
-    bool fastForward = true;  ///< event-driven core vs per-cycle loop
-    bool predecode = true;    ///< threaded-code backend vs legacy decode
-    int shardCount = 1;       ///< host threads (exec::ShardedMachine)
-    std::uint64_t shardQuantum = 0;  ///< skew window (0 = sequential)
-    /** Sync network override; unset = DiffOptions::topology. */
-    std::optional<barrier::Topology> topology = std::nullopt;
+    Encoding encoding;
+    std::function<void(sim::MachineConfig &)> edit;
 };
 
 /**
@@ -82,39 +77,6 @@ runOnMachine(const Scenario &sc, const ProgramSet &set, sim::Machine &m)
     for (auto addr : sc.watchAddrs)
         fp.mem.push_back(m.memory().peek(addr));
     return fp;
-}
-
-Fingerprint
-runVariant(const Scenario &sc, const ProgramSet &set, const Variant &v,
-           const DiffOptions &opt)
-{
-    sim::MachineConfig cfg;
-    cfg.numProcessors = sc.procs();
-    cfg.memWords = opt.memWords;
-    cfg.pipelineDepth = v.pipelineDepth;
-    cfg.issueWidth = v.issueWidth;
-    cfg.jitterMean = v.jitterMean;
-    cfg.seed = v.machineSeed;
-    cfg.stall = v.stall;
-    cfg.maxCycles = opt.maxCycles;
-    cfg.fastForward = v.fastForward;
-    cfg.predecode = v.predecode && opt.predecode;
-    cfg.shardCount = v.shardCount;
-    cfg.shardQuantum = v.shardQuantum;
-    cfg.topology = v.topology ? *v.topology : opt.topology;
-    cfg.interruptPeriod = sc.interruptPeriod;
-    cfg.isrEntry = sc.isrEntry;
-    if (sc.hasFaults()) {
-        cfg.faultPlan = &sc.faults;
-        cfg.watchdog = sc.watchdog;
-    }
-
-    if (opt.machinePool) {
-        auto lease = opt.machinePool->acquire(cfg);
-        return runOnMachine(sc, set, *lease);
-    }
-    sim::Machine m(cfg);
-    return runOnMachine(sc, set, m);
 }
 
 /**
@@ -328,8 +290,26 @@ DiffReport::describe() const
     return oss.str();
 }
 
+sim::MachineConfig
+baselineConfig(const Scenario &sc, const DiffOptions &opt)
+{
+    sim::MachineConfig cfg;
+    cfg.numProcessors = sc.procs();
+    cfg.memWords = opt.memWords;
+    cfg.maxCycles = opt.maxCycles;
+    cfg.topology = opt.topology;
+    cfg.predecode = opt.predecode;
+    cfg.interruptPeriod = sc.interruptPeriod;
+    cfg.isrEntry = sc.isrEntry;
+    if (sc.hasFaults()) {
+        cfg.faultPlan = &sc.faults;
+        cfg.watchdog = sc.watchdog;
+    }
+    return cfg;
+}
+
 DiffReport
-runDifferential(const Scenario &sc, const DiffOptions &opt)
+runDifferential(const Scenario &sc, const DiffOptions &options)
 {
     DiffReport rep;
 
@@ -355,13 +335,14 @@ runDifferential(const Scenario &sc, const DiffOptions &opt)
     // assembled pair and its pre-decoded blocks are then shared by
     // every executor below, the checkpoint oracle included.
     exec::ProgramCache localPrograms;
-    exec::ProgramCache &programCache =
-        opt.programCache != nullptr ? *opt.programCache : localPrograms;
+    DiffOptions opt = options;
+    if (opt.programCache == nullptr)
+        opt.programCache = &localPrograms;
     ProgramSet bits;
     ProgramSet markers;
     for (int p = 0; p < sc.procs(); ++p) {
         auto interned =
-            programCache.intern(sc.sources[static_cast<std::size_t>(p)]);
+            opt.programCache->intern(sc.sources[static_cast<std::size_t>(p)]);
         if (!interned->ok) {
             std::ostringstream oss;
             oss << "processor " << p << ": " << interned->error;
@@ -384,15 +365,23 @@ runDifferential(const Scenario &sc, const DiffOptions &opt)
         markers.decoded.push_back(interned->markersDecoded);
     }
 
-    const bool baseMarkers = sc.encoding == Encoding::Markers;
-    auto &basePrograms = baseMarkers ? markers : bits;
-    auto &crossPrograms = baseMarkers ? bits : markers;
+    const sim::MachineConfig base = baselineConfig(sc, opt);
+    auto run = [&](const Variant &v) {
+        sim::MachineConfig cfg = base;
+        if (v.edit)
+            v.edit(cfg);
+        const ProgramSet &set =
+            v.encoding == Encoding::Markers ? markers : bits;
+        if (opt.machinePool)
+            return runOnMachine(sc, set, *opt.machinePool->acquire(cfg));
+        sim::Machine m(cfg);
+        return runOnMachine(sc, set, m);
+    };
 
-    Variant baseVariant;
-    baseVariant.name =
-        std::string("baseline/") + encodingName(sc.encoding) + "/depth1";
-    baseVariant.markers = baseMarkers;
-    rep.baseline = runVariant(sc, basePrograms, baseVariant, opt);
+    const Encoding enc = sc.encoding;
+    const Variant baseVariant{
+        std::string("baseline/") + encodingName(enc) + "/depth1", enc, {}};
+    rep.baseline = run(baseVariant);
     rep.variantsRun = 1;
     auto oracles = [&](const Fingerprint &fp) {
         return sc.hasFaults() ? checkFaultOracles(sc, fatal, fp)
@@ -405,22 +394,22 @@ runDifferential(const Scenario &sc, const DiffOptions &opt)
     // under each model the paper claims is result-equivalent. The
     // legacy loop cross-checks the event-driven fast-forward core on
     // every fuzzed scenario.
+    using Config = sim::MachineConfig;
+    const Encoding other = enc == Encoding::Markers ? Encoding::RegionBits
+                                                    : Encoding::Markers;
     std::vector<Variant> variants = {
-        {.name = std::string("encoding/") +
-                 encodingName(baseMarkers ? Encoding::RegionBits
-                                          : Encoding::Markers),
-         .markers = !baseMarkers},
-        {.name = "pipeline/depth2", .markers = baseMarkers,
-         .pipelineDepth = 2},
-        {.name = "pipeline/depth4", .markers = baseMarkers,
-         .pipelineDepth = 4},
-        {.name = "stall/software(20,20)", .markers = baseMarkers,
-         .stall = sim::StallModel::software(20, 20)},
-        {.name = "jitter/mean1.5", .markers = baseMarkers,
-         .jitterMean = 1.5, .machineSeed = 99},
-        {.name = "vliw/width4", .markers = baseMarkers, .issueWidth = 4},
-        {.name = "core/legacy-loop", .markers = baseMarkers,
-         .fastForward = false},
+        {std::string("encoding/") + encodingName(other), other, {}},
+        {"pipeline/depth2", enc, [](Config &c) { c.pipelineDepth = 2; }},
+        {"pipeline/depth4", enc, [](Config &c) { c.pipelineDepth = 4; }},
+        {"stall/software(20,20)", enc,
+         [](Config &c) { c.stall = sim::StallModel::software(20, 20); }},
+        {"jitter/mean1.5", enc,
+         [](Config &c) {
+             c.jitterMean = 1.5;
+             c.seed = 99;
+         }},
+        {"vliw/width4", enc, [](Config &c) { c.issueWidth = 4; }},
+        {"core/legacy-loop", enc, [](Config &c) { c.fastForward = false; }},
     };
     if (opt.predecode) {
         // Same machine as the baseline but decoding instruction by
@@ -429,11 +418,8 @@ runDifferential(const Scenario &sc, const DiffOptions &opt)
         // windows) against the legacy interpreter. Skipped when the
         // whole matrix already runs without predecode — the variant
         // would duplicate the baseline.
-        Variant v;
-        v.name = "core/legacy-dispatch";
-        v.markers = baseMarkers;
-        v.predecode = false;
-        variants.push_back(v);
+        variants.push_back({"core/legacy-dispatch", enc,
+                            [](Config &c) { c.predecode = false; }});
     }
     if (opt.topologySweep) {
         // Hierarchical sync networks only move delivery cycles; the
@@ -445,11 +431,8 @@ runDifferential(const Scenario &sc, const DiffOptions &opt)
             FB_ASSERT(parsed, "bad built-in topology spec " << spec);
             if (topo == opt.topology)
                 continue;  // would duplicate the baseline
-            Variant v;
-            v.name = std::string("topology/") + spec;
-            v.markers = baseMarkers;
-            v.topology = topo;
-            variants.push_back(v);
+            variants.push_back({std::string("topology/") + spec, enc,
+                                [topo](Config &c) { c.topology = topo; }});
         }
     }
     if (opt.shards >= 2) {
@@ -457,19 +440,17 @@ runDifferential(const Scenario &sc, const DiffOptions &opt)
         // opt.shards host threads under the skew window. Any
         // divergence from the baseline fingerprint is a determinism
         // bug in the sharded executor.
-        Variant v;
-        v.name = "core/sharded-" + std::to_string(opt.shards) + "/q" +
-                 std::to_string(opt.shardQuantum);
-        v.markers = baseMarkers;
-        v.shardCount = opt.shards;
-        v.shardQuantum = opt.shardQuantum;
-        variants.push_back(v);
+        variants.push_back(
+            {"core/sharded-" + std::to_string(opt.shards) + "/q" +
+                 std::to_string(opt.shardQuantum),
+             enc, [&opt](Config &c) {
+                 c.shardCount = opt.shards;
+                 c.shardQuantum = opt.shardQuantum;
+             }});
     }
 
     for (const auto &v : variants) {
-        auto &programs = v.markers == baseMarkers ? basePrograms
-                                                  : crossPrograms;
-        Fingerprint fp = runVariant(sc, programs, v, opt);
+        Fingerprint fp = run(v);
         ++rep.variantsRun;
         if (auto why = oracles(fp); !why.empty())
             return failed(v.name, why);
@@ -479,14 +460,12 @@ runDifferential(const Scenario &sc, const DiffOptions &opt)
     }
 
     // Checkpointed executor: the scenario once more through the staged
-    // delta-chain capture/restore oracle. The oracle's own reference
-    // run shares this matrix's baseline model, so any failure here is a
-    // checkpointing defect, not a variant divergence. The chain seed
-    // derives from the baseline fingerprint: deterministic per
-    // scenario, different across scenarios.
-    auto rr = checkChainResumeEquivalence(sc, rep.baseline.hash(), true, 4,
-                                          opt.maxCycles, opt.machinePool,
-                                          &programCache);
+    // delta-chain capture/restore oracle, whose reference run is the
+    // baseline machine above, so any failure here is a checkpointing
+    // defect, not a variant divergence. The chain seed derives from
+    // the baseline fingerprint: deterministic per scenario, different
+    // across scenarios.
+    auto rr = checkResumeEquivalence(sc, rep.baseline.hash(), opt);
     ++rep.variantsRun;
     if (!rr.ok)
         return failed("checkpoint/delta-chain", rr.failure);

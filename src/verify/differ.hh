@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "barrier/topology.hh"
+#include "sim/config.hh"
 #include "swbarrier/factory.hh"
 #include "verify/scenario.hh"
 
@@ -54,13 +55,13 @@ struct Fingerprint
 };
 
 /**
- * Which executors to run beyond the depth-1 baseline. Every scenario
- * always runs the other encoding, pipeline depths 2 and 4, the
- * software (Encore) stall model, execution jitter, VLIW width 4, the
- * per-cycle loop, the legacy interpreter (unless @ref predecode is
- * off) and the delta-chain checkpoint oracle
- * (verify::checkChainResumeEquivalence); the fields below add or
- * shape the rest.
+ * Which executors to run beyond the depth-1 baseline, and the machine
+ * they all start from (baselineConfig). Every scenario always runs the
+ * other encoding, pipeline depths 2 and 4, the software (Encore) stall
+ * model, execution jitter, VLIW width 4, the per-cycle loop, the
+ * legacy interpreter (unless @ref predecode is off) and the
+ * delta-chain checkpoint oracle (verify::checkResumeEquivalence); the
+ * fields below add or shape the rest.
  */
 struct DiffOptions
 {
@@ -73,9 +74,10 @@ struct DiffOptions
      */
     bool topologySweep = true;
     /**
-     * Synchronization-network shape for the baseline and every
-     * non-sweep variant (the fbfuzz --topology flag). The sweep skips
-     * a shape equal to this one — it would duplicate the baseline.
+     * Synchronization-network shape for the baseline, every
+     * non-sweep variant and the checkpoint oracle (the fbfuzz
+     * --topology flag). The sweep skips a shape equal to this one — it
+     * would duplicate the baseline.
      */
     barrier::Topology topology;
     bool swBarrierReference = true;     ///< real-thread cross-check
@@ -95,19 +97,20 @@ struct DiffOptions
 
     /**
      * Master switch for the pre-decoded threaded-code backend: when
-     * false every executor in the matrix (baseline included) runs the
-     * legacy interpreter and the legacy-dispatch cross-check variant
-     * is skipped as redundant. The fbfuzz --no-predecode escape hatch.
+     * false every executor in the matrix (baseline and checkpoint
+     * oracle included) runs the legacy interpreter and the
+     * legacy-dispatch cross-check variant is skipped as redundant. The
+     * fbfuzz --no-predecode escape hatch.
      */
     bool predecode = true;
 
     /**
-     * Optional campaign-engine hooks. When set, every variant runs on
-     * a reset machine leased from the pool instead of a freshly
-     * constructed one, and program assembly goes through the caller's
-     * intern cache instead of a private one. Both must outlive the
-     * call; the pool must belong to the calling worker (MachinePool is
-     * not thread-safe).
+     * Optional campaign-engine hooks. When set, every variant and
+     * the checkpoint oracle run on reset machines leased from the pool
+     * instead of freshly constructed ones, and program assembly goes
+     * through the caller's intern cache instead of a private one. Both
+     * must outlive the call; the pool must belong to the calling
+     * worker (MachinePool is not thread-safe).
      */
     exec::MachinePool *machinePool = nullptr;
     exec::ProgramCache *programCache = nullptr;
@@ -125,6 +128,19 @@ struct DiffReport
     /** Multi-line human-readable report (deterministic). */
     std::string describe() const;
 };
+
+/**
+ * The machine every executor of @p sc starts from: MachineConfig's
+ * defaults (depth 1, width 1, no jitter, hardware stall, seed 1, the
+ * event-and-window loop) sized and shaped by @p opt (memWords,
+ * maxCycles, topology, predecode) and carrying the scenario's timer
+ * interrupt, fault plan and watchdog. Each differential variant is an
+ * edit to this config, and the checkpoint oracle's reference run is
+ * this config unedited. The config points at @p sc's fault plan, so
+ * @p sc must outlive every machine built from it.
+ */
+sim::MachineConfig baselineConfig(const Scenario &sc,
+                                  const DiffOptions &opt);
 
 /**
  * Assemble and execute @p sc under the full differential matrix.

@@ -19,29 +19,6 @@ namespace fb::verify
 namespace
 {
 
-sim::MachineConfig
-baselineConfig(const Scenario &sc, bool fast_forward,
-               std::uint64_t max_cycles)
-{
-    sim::MachineConfig cfg;
-    cfg.numProcessors = sc.procs();
-    cfg.memWords = 4096;
-    cfg.pipelineDepth = 1;
-    cfg.issueWidth = 1;
-    cfg.jitterMean = 0.0;
-    cfg.seed = 1;
-    cfg.stall = sim::StallModel::hardware();
-    cfg.maxCycles = max_cycles;
-    cfg.fastForward = fast_forward;
-    cfg.interruptPeriod = sc.interruptPeriod;
-    cfg.isrEntry = sc.isrEntry;
-    if (sc.hasFaults()) {
-        cfg.faultPlan = &sc.faults;
-        cfg.watchdog = sc.watchdog;
-    }
-    return cfg;
-}
-
 /** Compare two RunResults field by field; empty string if identical. */
 std::string
 diffRunResults(const sim::RunResult &a, const sim::RunResult &b)
@@ -210,9 +187,8 @@ buildPrograms(const Scenario &sc, exec::ProgramCache *program_cache,
 
 ResumeReport
 checkResumeEquivalence(const Scenario &sc, std::uint64_t k_seed,
-                       bool fast_forward, std::uint64_t max_cycles,
-                       exec::MachinePool *pool,
-                       exec::ProgramCache *program_cache)
+                       const DiffOptions &opt, std::uint32_t rebase_every,
+                       bool fast_forward)
 {
     ResumeReport rep;
     auto failed = [&rep](std::string why) {
@@ -227,11 +203,11 @@ checkResumeEquivalence(const Scenario &sc, std::uint64_t k_seed,
     std::vector<isa::Program> programs;
     std::vector<std::shared_ptr<const sim::DecodedProgram>> decoded;
     if (std::string err;
-        !buildPrograms(sc, program_cache, programs, decoded, err))
+        !buildPrograms(sc, opt.programCache, programs, decoded, err))
         return failed(std::move(err));
 
-    const sim::MachineConfig base_cfg =
-        baselineConfig(sc, fast_forward, max_cycles);
+    sim::MachineConfig base_cfg = baselineConfig(sc, opt);
+    base_cfg.fastForward = fast_forward;
     auto load = [&](sim::Machine &m) {
         for (int p = 0; p < sc.procs(); ++p) {
             const auto sp = static_cast<std::size_t>(p);
@@ -240,122 +216,29 @@ checkResumeEquivalence(const Scenario &sc, std::uint64_t k_seed,
     };
 
     // A: the uninterrupted reference.
-    MachineSlot refSlot(base_cfg, pool);
-    sim::Machine &ref = *refSlot;
-    load(ref);
-    const sim::RunResult ra = ref.run();
-    rep.referenceCycles = ra.cycles;
-
-    // Randomize K in [1, A.cycles]. The loop bottom checkpoints after
-    // ++_now, so K == A.cycles still fires on halting/deadlocking
-    // runs; only a timeout breaks before the final checkpoint.
-    std::uint64_t state = k_seed ^ 0x6d656b6b6f6c6c61ULL;
-    const std::uint64_t span = ra.cycles == 0 ? 1 : ra.cycles;
-    const std::uint64_t k = 1 + splitMix64(state) % span;
-    rep.checkpointCycle = k;
-
-    // B: same run, full checkpoints at period K; keep the first one.
-    sim::MachineConfig cp_cfg = base_cfg;
-    cp_cfg.checkpointEveryCycles = k;
-    cp_cfg.checkpointRebaseEvery = 1;
-    MachineSlot cpSlot(cp_cfg, pool);
-    sim::Machine &checkpointed = *cpSlot;
-    load(checkpointed);
-    std::vector<std::uint8_t> first;
-    checkpointed.setStagedCheckpointSink(
-        [&first](snapshot::SnapshotHeader header,
-                 std::vector<snapshot::Section> sections) {
-            first = snapshot::assemble(header, sections);
-            sim::Machine::CheckpointAck ack;
-            ack.keep = false;  // one snapshot is enough
-            return ack;
-        });
-    const sim::RunResult rb = checkpointed.run();
-
-    if (std::string why = diffRunResults(ra, rb); !why.empty())
-        return failed("checkpointing run diverged: " + why);
-    if (std::string why = diffFinalState(sc, ref, checkpointed);
-        !why.empty())
-        return failed("checkpointing run diverged: " + why);
-
-    rep.snapshotTaken = !first.empty();
-    if (!rep.snapshotTaken) {
-        // Run ended (timeout) before cycle K; A-vs-B equivalence is
-        // all that can be checked.
-        return rep;
-    }
-
-    // C: a fresh machine restored from the snapshot, run to the end.
-    MachineSlot resumeSlot(base_cfg, pool);
-    sim::Machine &resumed = *resumeSlot;
-    load(resumed);
-    std::string restore_error;
-    if (!resumed.restoreState(first, restore_error))
-        return failed("restore failed: " + restore_error);
-    const sim::RunResult rc = resumed.run();
-
-    if (std::string why = diffRunResults(ra, rc); !why.empty())
-        return failed("resumed run diverged: " + why);
-    if (std::string why = diffFinalState(sc, ref, resumed); !why.empty())
-        return failed("resumed run diverged: " + why);
-    return rep;
-}
-
-ResumeReport
-checkChainResumeEquivalence(const Scenario &sc, std::uint64_t k_seed,
-                            bool fast_forward,
-                            std::uint32_t rebase_every,
-                            std::uint64_t max_cycles,
-                            exec::MachinePool *pool,
-                            exec::ProgramCache *program_cache)
-{
-    ResumeReport rep;
-    auto failed = [&rep](std::string why) {
-        rep.ok = false;
-        rep.failure = std::move(why);
-        return rep;
-    };
-
-    if (sc.procs() == 0)
-        return failed("scenario has no programs");
-
-    std::vector<isa::Program> programs;
-    std::vector<std::shared_ptr<const sim::DecodedProgram>> decoded;
-    if (std::string err;
-        !buildPrograms(sc, program_cache, programs, decoded, err))
-        return failed(std::move(err));
-
-    const sim::MachineConfig base_cfg =
-        baselineConfig(sc, fast_forward, max_cycles);
-    auto load = [&](sim::Machine &m) {
-        for (int p = 0; p < sc.procs(); ++p) {
-            const auto sp = static_cast<std::size_t>(p);
-            m.loadProgram(p, programs[sp], decoded[sp]);
-        }
-    };
-
-    // A: the uninterrupted reference.
-    MachineSlot refSlot(base_cfg, pool);
+    MachineSlot refSlot(base_cfg, opt.machinePool);
     sim::Machine &ref = *refSlot;
     load(ref);
     const sim::RunResult ra = ref.run();
     rep.referenceCycles = ra.cycles;
 
     // Cadence: aim for several captures so a real chain forms — K
-    // around span / (4..11), randomized, at least 1.
+    // around span / (4..11), randomized, at least 1. The loop bottom
+    // checkpoints after ++_now, so a K that divides A.cycles also
+    // captures the final cycle of a halting or deadlocking run.
     std::uint64_t state = k_seed ^ 0x636861696e726573ULL;
     const std::uint64_t span = ra.cycles == 0 ? 1 : ra.cycles;
     const std::uint64_t denom = 4 + splitMix64(state) % 8;
     const std::uint64_t k = std::max<std::uint64_t>(1, span / denom);
     rep.checkpointCycle = k;
 
-    // B: staged (delta) checkpointing at period K; keep every capture
+    // B: staged checkpointing at period K; keep every capture
     // assembled in memory, keyed by generation.
     sim::MachineConfig cp_cfg = base_cfg;
     cp_cfg.checkpointEveryCycles = k;
     cp_cfg.checkpointRebaseEvery = std::max<std::uint32_t>(
         1, rebase_every);
-    MachineSlot cpSlot(cp_cfg, pool);
+    MachineSlot cpSlot(cp_cfg, opt.machinePool);
     sim::Machine &checkpointed = *cpSlot;
     load(checkpointed);
     std::map<std::uint64_t, snapshot::SnapshotHeader> headers;
@@ -373,14 +256,14 @@ checkChainResumeEquivalence(const Scenario &sc, std::uint64_t k_seed,
     rep.checkpointsTaken = captures.size();
 
     if (std::string why = diffRunResults(ra, rb); !why.empty())
-        return failed("delta-checkpointing run diverged: " + why);
+        return failed("checkpointing run diverged: " + why);
     if (std::string why = diffFinalState(sc, ref, checkpointed);
         !why.empty())
-        return failed("delta-checkpointing run diverged: " + why);
+        return failed("checkpointing run diverged: " + why);
 
-    rep.snapshotTaken = !captures.empty();
-    if (!rep.snapshotTaken)
+    if (captures.empty())
         return rep;
+    rep.lastCaptureCycle = headers.rbegin()->second.cycle;
 
     // Pick a seeded head capture and walk its chain base-first.
     std::vector<std::uint64_t> gens;
@@ -407,18 +290,18 @@ checkChainResumeEquivalence(const Scenario &sc, std::uint64_t k_seed,
     rep.chainLength = chain.size();
 
     // C: restore the whole chain onto a fresh machine, run to the end.
-    MachineSlot resumeSlot(base_cfg, pool);
+    MachineSlot resumeSlot(base_cfg, opt.machinePool);
     sim::Machine &resumed = *resumeSlot;
     load(resumed);
     std::string restore_error;
     if (!resumed.restoreChainState(chain, restore_error))
-        return failed("chain restore failed: " + restore_error);
+        return failed("restore failed: " + restore_error);
     const sim::RunResult rc = resumed.run();
 
     if (std::string why = diffRunResults(ra, rc); !why.empty())
-        return failed("chain-resumed run diverged: " + why);
+        return failed("resumed run diverged: " + why);
     if (std::string why = diffFinalState(sc, ref, resumed); !why.empty())
-        return failed("chain-resumed run diverged: " + why);
+        return failed("resumed run diverged: " + why);
     return rep;
 }
 

@@ -60,11 +60,9 @@ runJournalSeed(std::uint64_t i, exec::WorkerContext &ctx)
     line << "seed=" << seed << " ok=" << rep.ok << " fp=" << std::hex
          << rep.baseline.hash() << std::dec;
     if (i % 5 == 0) {
-        auto rr = verify::checkResumeEquivalence(
-            sc, seed * 31, true, 5'000'000, &ctx.machines,
-            &ctx.programs);
+        auto rr = verify::checkResumeEquivalence(sc, seed * 31, d);
         line << " resume=" << rr.ok << " k=" << rr.checkpointCycle
-             << " snap=" << rr.snapshotTaken;
+             << " snaps=" << rr.checkpointsTaken;
         if (!rr.ok)
             line << " why=" << rr.failure;
     }
@@ -452,13 +450,15 @@ TEST(Campaign, ResumeEquivalenceOnPooledMachines)
 {
     exec::MachinePool pool;
     exec::ProgramCache programs;
+    verify::DiffOptions opt;
+    opt.machinePool = &pool;
+    opt.programCache = &programs;
     for (std::uint64_t seed = 300; seed < 315; ++seed) {
         auto spec = verify::randomSpec(seed);
         if (seed % 2 == 0)
             attachFaults(spec, seed + 5);
         auto sc = verify::render(spec);
-        auto rep = verify::checkResumeEquivalence(
-            sc, seed * 7 + 1, true, 5'000'000, &pool, &programs);
+        auto rep = verify::checkResumeEquivalence(sc, seed * 7 + 1, opt);
         EXPECT_TRUE(rep.ok)
             << "seed " << seed << " K=" << rep.checkpointCycle << ": "
             << rep.failure;

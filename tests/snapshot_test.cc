@@ -1945,8 +1945,8 @@ TEST(MachineSnapshot, SectionOfTheOtherKindNeverRestores)
  * The acceptance sweep: >= 200 generated scenarios (100 seeds, both
  * the event-driven and the legacy loop), every one with a seeded
  * random fault plan and the watchdog active, each checked through the
- * full A/B/C resume-equivalence oracle at a randomized checkpoint
- * cycle K.
+ * A/B/C resume-equivalence oracle at a re-base period of 1, so every
+ * capture is a full snapshot and C restores exactly one.
  */
 TEST(ResumeEquivalence, SweepGeneratedScenarios)
 {
@@ -1955,8 +1955,12 @@ TEST(ResumeEquivalence, SweepGeneratedScenarios)
     // first also proves the resume oracle holds on recycled machines.
     exec::MachinePool pool;
     exec::ProgramCache programs;
+    verify::DiffOptions opt;
+    opt.machinePool = &pool;
+    opt.programCache = &programs;
     int checked = 0;
     int withSnapshot = 0;
+    int atFinalCycle = 0;
     for (std::uint64_t seed = 1; seed <= 100; ++seed) {
         auto spec = verify::randomSpec(seed);
         spec.faults =
@@ -1967,21 +1971,66 @@ TEST(ResumeEquivalence, SweepGeneratedScenarios)
         spec.watchdog.maxAttempts = 3;
         auto sc = verify::render(spec);
         for (bool ff : {true, false}) {
-            auto rep = verify::checkResumeEquivalence(
-                sc, seed * 31 + ff, ff, 5'000'000, &pool, &programs);
+            auto rep = verify::checkResumeEquivalence(sc, seed * 31 + ff,
+                                                      opt, 1, ff);
             EXPECT_TRUE(rep.ok)
                 << "seed " << seed << " ff=" << ff << " K="
                 << rep.checkpointCycle << ": " << rep.failure;
             ++checked;
-            if (rep.snapshotTaken)
-                ++withSnapshot;
+            if (rep.checkpointsTaken == 0)
+                continue;
+            ++withSnapshot;
+            EXPECT_EQ(rep.chainLength, 1u) << "seed " << seed;
+            if (rep.lastCaptureCycle == rep.referenceCycles)
+                ++atFinalCycle;
         }
     }
     EXPECT_GE(checked, 200);
     EXPECT_GT(pool.reuses(), 0u);
-    // The randomized K lands before the end of most runs; make sure
-    // the sweep is actually exercising restore, not just A-vs-B.
+    // The seeded K lands before the end of most runs; make sure the
+    // sweep is actually exercising restore, not just A-vs-B.
     EXPECT_GT(withSnapshot, checked / 2);
+    // A capture at the run's final cycle is the loop-bottom edge: the
+    // checkpoint after ++now on a halting or deadlocking run.
+    RecordProperty("capturedAtFinalCycle", atFinalCycle);
+    EXPECT_GT(atFinalCycle, 0) << "no run captured its final cycle";
+}
+
+/**
+ * The oracle runs the campaign's machine: under a tree:4 network its
+ * reference run is that network's run of the scenario, whose barrier
+ * deliveries take longer than the flat network's.
+ */
+TEST(ResumeEquivalence, ReferenceRunUsesTheCampaignTopology)
+{
+    // Seed 2: seven processors in one group, no interrupts or faults.
+    const verify::Scenario sc = verify::render(verify::randomSpec(2));
+    auto machineCycles = [&sc](const barrier::Topology &topology) {
+        MachineConfig cfg;
+        cfg.numProcessors = sc.procs();
+        cfg.memWords = 4096;
+        cfg.topology = topology;
+        Machine m(cfg);
+        for (int p = 0; p < sc.procs(); ++p) {
+            isa::Program prog;
+            std::string err;
+            EXPECT_TRUE(isa::Assembler::assemble(
+                sc.sources[static_cast<std::size_t>(p)], prog, err))
+                << err;
+            if (sc.encoding == verify::Encoding::Markers)
+                prog = prog.toMarkerEncoding();
+            m.loadProgram(p, prog);
+        }
+        return m.run().cycles;
+    };
+    verify::DiffOptions opt;
+    ASSERT_TRUE(barrier::Topology::parse("tree:4", opt.topology));
+    const verify::ResumeReport rep =
+        verify::checkResumeEquivalence(sc, 1, opt);
+    ASSERT_TRUE(rep.ok) << rep.failure;
+    EXPECT_EQ(rep.referenceCycles, machineCycles(opt.topology));
+    EXPECT_NE(rep.referenceCycles, machineCycles(barrier::Topology{}));
+    EXPECT_GT(rep.checkpointsTaken, 0u);
 }
 
 /**
@@ -1996,6 +2045,9 @@ TEST(ChainResumeEquivalence, SweepGeneratedScenariosWithFaults)
 {
     exec::MachinePool pool;
     exec::ProgramCache programs;
+    verify::DiffOptions opt;
+    opt.machinePool = &pool;
+    opt.programCache = &programs;
     int checked = 0;
     int withChain = 0;
     for (std::uint64_t seed = 1; seed <= 40; ++seed) {
@@ -2008,9 +2060,8 @@ TEST(ChainResumeEquivalence, SweepGeneratedScenariosWithFaults)
         spec.watchdog.maxAttempts = 3;
         auto sc = verify::render(spec);
         for (bool ff : {true, false}) {
-            auto rep = verify::checkChainResumeEquivalence(
-                sc, seed * 47 + ff, ff, 3, 5'000'000, &pool,
-                &programs);
+            auto rep = verify::checkResumeEquivalence(sc, seed * 47 + ff,
+                                                      opt, 3, ff);
             EXPECT_TRUE(rep.ok)
                 << "seed " << seed << " ff=" << ff << ": "
                 << rep.failure;
