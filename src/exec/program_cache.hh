@@ -60,8 +60,14 @@ struct InternedProgram
 class ProgramCache
 {
   public:
-    /** Sources held before the table clears (about 6 KB each). */
-    static constexpr std::size_t maxEntries = 4096;
+    /**
+     * Sources held before the table clears: about 3 MB at ~6 KB each.
+     * What campaigns reuse fits with room to spare (one scenario needs
+     * about 5 sources; e18's 48-seed corpus needs about 200), while a
+     * larger table only holds sources that never recur, and a
+     * campaign's peak memory grows with it.
+     */
+    static constexpr std::size_t maxEntries = 512;
 
     /** Assemble @p source, or return the cached result. */
     std::shared_ptr<const InternedProgram>

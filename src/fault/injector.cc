@@ -65,10 +65,16 @@ FaultInjector::beginCycle(std::uint64_t now,
           case FaultKind::DropPulse:
             if (now >= ev.cycle && now < windowEnd(ev)) {
                 ++_stats.pulseDropCycles;
-                std::ostringstream oss;
-                oss << "fault: dropping ready pulse of cpu" << ev.proc
-                    << " at cycle " << now;
-                warnRatelimited("fault.drop", oss.str(), 256);
+                // One line per window, when it opens: a count shared
+                // across runs would make which line prints depend on
+                // how concurrent campaign workers interleave.
+                if (now == ev.cycle) {
+                    std::ostringstream oss;
+                    oss << "fault: dropping ready pulse of cpu" << ev.proc
+                        << " for cycles [" << ev.cycle << ", "
+                        << windowEnd(ev) << ")";
+                    warn(oss.str());
+                }
             }
             break;
           case FaultKind::Freeze:

@@ -264,6 +264,7 @@ Machine::reset(const MachineConfig &config)
     _sharersUnbounded = false;
 
     _config = config;
+    _fingerprint.reset();
     _memory->resetStats();
     _memory->resetContents();
     _bus->reset(config.busServiceCycles, config.busKind);
@@ -355,6 +356,7 @@ Machine::loadProgram(int p, isa::Program program,
         decoded = decodeProgram(program);
     }
     _programs[sp] = std::move(program);
+    _fingerprint.reset();
     _decodedPrograms[sp] = std::move(decoded);
     _processors[sp]->setDecoded(_decodedPrograms[sp].get());
 }
@@ -991,6 +993,8 @@ Machine::checkMembership(const std::vector<int> &members,
 std::uint64_t
 Machine::configFingerprint() const
 {
+    if (_fingerprint)
+        return *_fingerprint;
     snapshot::Fnv1a h;
     h.mix(static_cast<std::uint64_t>(_config.numProcessors));
     h.mix(static_cast<std::uint64_t>(_config.issueWidth));
@@ -1052,7 +1056,8 @@ Machine::configFingerprint() const
             h.mix(static_cast<std::uint64_t>(prog.barrierId(i)));
         }
     }
-    return h.value();
+    _fingerprint = h.value();
+    return *_fingerprint;
 }
 
 namespace

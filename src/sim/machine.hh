@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -318,6 +319,14 @@ class Machine : public ExecutionObserver
      * program's instructions and barrier ids. A snapshot only
      * restores into a machine with an identical fingerprint, so state
      * can never silently meet the wrong config or the wrong code.
+     *
+     * Hashing the loaded code costs time linear in its length, so the
+     * value is computed on first use and kept for every later capture
+     * and restore check. The constructor, reset() and loadProgram()
+     * are the only writers of the config and the programs; the last
+     * two drop the kept value. The fault plan is read through
+     * MachineConfig::faultPlan and must not change while it is
+     * installed. Not safe to call from two threads at once.
      */
     std::uint64_t configFingerprint() const;
 
@@ -523,6 +532,10 @@ class Machine : public ExecutionObserver
      * clear instead.
      */
     bool _sharersUnbounded = false;
+
+    /** configFingerprint() of the current config and programs, once
+     * computed; reset() and loadProgram() clear it. */
+    mutable std::optional<std::uint64_t> _fingerprint;
 };
 
 } // namespace fb::sim

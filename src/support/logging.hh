@@ -45,12 +45,16 @@ class Logger
     /** Current verbosity threshold. */
     LogLevel level() const { return _level; }
 
-    /** Emit a message if @p level is within the current threshold. */
+    /**
+     * Emit a message if @p level is within the current threshold. The
+     * line is built first and inserted into std::cerr once, so lines
+     * logged from concurrent threads never interleave.
+     */
     void
     log(LogLevel level, const std::string &msg)
     {
         if (static_cast<int>(level) <= static_cast<int>(_level))
-            std::cerr << prefix(level) << msg << "\n";
+            std::cerr << (prefix(level) + msg + "\n");
     }
 
   private:
@@ -78,7 +82,10 @@ void warnOnce(const std::string &key, const std::string &msg);
 /**
  * Warn on the 1st, (N+1)th, (2N+1)th... occurrence of @p key; later
  * repeats carry a suppressed-count suffix so no information is lost,
- * just volume. Thread-safe.
+ * just volume. Thread-safe. The count is process-wide, so use it
+ * for process-level conditions (service, snapshot writer), never for
+ * one a simulated run repeats: under concurrent campaign workers,
+ * which occurrence prints would depend on thread timing.
  *
  * @param every_n report one message per this many occurrences (>= 1)
  */

@@ -864,6 +864,94 @@ TEST(MachineSnapshot, FingerprintRejectsMismatchedTopology)
     EXPECT_FALSE(t3.restoreState(treeBytes, err));
 }
 
+/** One loop per processor, each with a different work count. */
+std::vector<isa::Program>
+distinctLoops(int procs)
+{
+    std::vector<isa::Program> progs;
+    for (int p = 0; p < procs; ++p)
+        progs.push_back(assembleOrDie(
+            loopSource(12, 5 + p, 3, (1ULL << procs) - 1)));
+    return progs;
+}
+
+void
+loadEach(Machine &m, const std::vector<isa::Program> &progs)
+{
+    for (std::size_t p = 0; p < progs.size(); ++p)
+        m.loadProgram(static_cast<int>(p), progs[p]);
+}
+
+TEST(MachineSnapshot, ConfigFingerprintGoldenValues)
+{
+    // Every snapshot header carries the fingerprint, so stores already
+    // written restore only while the hash's inputs, their order and
+    // its byte stream stay as they are. The values were recorded from
+    // the uncached hash.
+    const auto progs = distinctLoops(4);
+    Machine plain(machineConfig(4));
+    loadEach(plain, progs);
+    EXPECT_EQ(plain.configFingerprint(), 0xa6e4029511d4db4eULL);
+
+    fault::FaultPlan plan;
+    std::string err;
+    ASSERT_TRUE(fault::FaultPlan::parse(
+        "drop@100:2:16,fliptag@250:0:3,kill@400:3", 4, plan, err))
+        << err;
+    auto cfg = machineConfig(4);
+    cfg.faultPlan = &plan;
+    cfg.watchdog.enabled = true;
+    cfg.watchdog.timeoutCycles = 2000;
+    cfg.watchdog.maxAttempts = 3;
+    ASSERT_TRUE(barrier::Topology::parse("tree:4", cfg.topology));
+    Machine faulty(cfg);
+    loadEach(faulty, progs);
+    EXPECT_EQ(faulty.configFingerprint(), 0x14c617b90ad89ed1ULL);
+}
+
+TEST(MachineSnapshot, ConfigFingerprintFollowsResetAndLoad)
+{
+    // The machine keeps its fingerprint between captures, so every
+    // write to the config or the programs must drop the kept value:
+    // after each step it must equal a freshly built twin's.
+    auto fresh = [](const MachineConfig &cfg,
+                    const std::vector<isa::Program> &progs) {
+        Machine m(cfg);
+        loadEach(m, progs);
+        return m.configFingerprint();
+    };
+    const auto cfg = machineConfig(4);
+    const auto progs = distinctLoops(4);
+    Machine m(cfg);
+    loadEach(m, progs);
+    const std::uint64_t first = m.configFingerprint();
+    EXPECT_EQ(first, fresh(cfg, progs));
+
+    // (i) A different program on one cpu.
+    auto changed = progs;
+    changed[2] = assembleOrDie(loopSource(12, 20, 3, 0xf));
+    m.loadProgram(2, changed[2]);
+    EXPECT_EQ(m.configFingerprint(), fresh(cfg, changed));
+    EXPECT_NE(m.configFingerprint(), first);
+
+    // (ii) A config that differs in one mixed field: read once before
+    // the reload too, or the reload's own invalidation would hide a
+    // reset that kept the old value.
+    auto reseeded = cfg;
+    reseeded.seed = cfg.seed + 1;
+    m.reset(reseeded);
+    EXPECT_EQ(m.configFingerprint(), fresh(reseeded, {}));
+    loadEach(m, progs);
+    EXPECT_EQ(m.configFingerprint(), fresh(reseeded, progs));
+    EXPECT_NE(m.configFingerprint(), first);
+
+    // (iii) The first config and programs again: the first value.
+    m.reset(cfg);
+    loadEach(m, progs);
+    EXPECT_EQ(m.configFingerprint(), first);
+    EXPECT_EQ(m.configFingerprint(), fresh(cfg, progs));
+}
+
 TEST(MachineSnapshot, MismatchedTopologyRestoreDiesLoudly)
 {
     // fbsim --restore treats an unrestorable snapshot as fatal; a
